@@ -13,9 +13,16 @@ deep their bit positions nest. The intern table and the order list are
 process-wide, hold each live ``Big`` weakly, drop it when it is collected and
 so never hold more entries than there are live ``Big`` values.
 
+Naturals compare with Python's own operators: ``<``, ``sorted``, ``min`` and
+``max`` order any mix of canonical ints and ``Big`` values (an int on the
+left defers to the reflected ``Big`` method). A label is read at compare
+time and may change when the list is relabelled, so no sort key is cached.
+
 Only the operations the graph model needs are provided: total order,
 successor, bit tests, and the minimal value >= N whose bits agree with a
-finite 0/1 constraint map.
+finite 0/1 constraint map. ``encode``/``decode`` give the JSON form of one
+natural; ``encode_map``/``decode_map`` are the one place that knows the
+JSON form of a finite vertex map.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from __future__ import annotations
 import gc
 import weakref
 from bisect import bisect_left
-from functools import cmp_to_key
 from operator import attrgetter
 
 INT_BIT_LIMIT = 4096
@@ -54,7 +60,7 @@ def _insert(node):
 
     The binary search compares bit tuples: tuple order is the first
     differing position, else length, which is the order of the naturals, and
-    its positions compare through ``nat_cmp`` on labels that already exist.
+    its positions compare by the labels they already have.
     The cyclic collector is held off meanwhile, since a collection could run
     ``_forget`` and shift ``_order`` under the search.
     """
@@ -103,7 +109,7 @@ class Big:
         self = object.__new__(cls)
         self.bits = bits  # tuple, descending, canonical naturals
         self.bitset = frozenset(bits)
-        self._hash = hash(("radograph.Big", bits))
+        self._hash = hash(bits)
         _insert(self)
         return self
 
@@ -123,15 +129,23 @@ class Big:
         return NotImplemented
 
     def __lt__(self, other):
+        if isinstance(other, Big):
+            return self._label < other._label
         return nat_cmp(self, other) < 0
 
     def __le__(self, other):
+        if isinstance(other, Big):
+            return self._label <= other._label
         return nat_cmp(self, other) <= 0
 
     def __gt__(self, other):
+        if isinstance(other, Big):
+            return self._label > other._label
         return nat_cmp(self, other) > 0
 
     def __ge__(self, other):
+        if isinstance(other, Big):
+            return self._label >= other._label
         return nat_cmp(self, other) >= 0
 
     def __repr__(self):
@@ -178,14 +192,6 @@ def nat_cmp(a, b):
     return (la > lb) - (la < lb)
 
 
-def nat_eq(a, b):
-    return nat_cmp(a, b) == 0
-
-
-_desc_key = cmp_to_key(lambda a, b: -nat_cmp(a, b))
-nat_key = cmp_to_key(nat_cmp)
-
-
 def from_bits(positions):
     """Build the natural with exactly the given set bit positions."""
     seen = {}
@@ -194,7 +200,7 @@ def from_bits(positions):
     ps = list(seen)
     if all(isinstance(p, int) for p in ps) and (not ps or max(ps) < INT_BIT_LIMIT):
         return sum(1 << p for p in ps)
-    return Big(tuple(sorted(ps, key=_desc_key)))
+    return Big(tuple(sorted(ps, reverse=True)))
 
 
 def succ(x):
@@ -219,13 +225,9 @@ def bit_test(x, p):
     return p in x.bitset
 
 
-def vmax(values, default=0):
-    """Maximum of an iterable of naturals (canonical), or default if empty."""
-    best = None
-    for v in values:
-        if best is None or nat_cmp(v, best) > 0:
-            best = v
-    return canon(default) if best is None else best
+def vmax(values):
+    """Maximum of a nonempty iterable of canonical naturals."""
+    return max(values)
 
 
 def min_with_bits_geq(n, constraints):
@@ -238,11 +240,7 @@ def min_with_bits_geq(n, constraints):
     """
     nbits = set(bits_desc(n))
     pool = set(constraints) | nbits
-    # sort int positions natively; only Big positions need the slow key
-    allpos = sorted(
-        (p for p in pool if not isinstance(p, int)), key=_desc_key
-    ) + sorted((p for p in pool if isinstance(p, int)), reverse=True)
-    for p in allpos:
+    for p in sorted(pool, reverse=True):
         in_n = p in nbits
         if p not in constraints:
             continue  # free position, copy n's bit
@@ -251,15 +249,15 @@ def min_with_bits_geq(n, constraints):
             continue
         if want == 1:
             # forced above n at p: keep n's bits above p, set p, minimal below
-            high = [q for q in nbits if nat_cmp(q, p) > 0]
-            low = [q for q, b in constraints.items() if b == 1 and nat_cmp(q, p) < 0]
+            high = [q for q in nbits if q > p]
+            low = [q for q, b in constraints.items() if b == 1 and q < p]
             return from_bits(high + [p] + low)
         # want == 0 while n has 1 at p: fell below n, bump a free zero above p
         q = succ(p)
         while q in constraints or q in nbits:
             q = succ(q)
-        high = [r for r in nbits if nat_cmp(r, q) > 0]
-        low = [r for r, b in constraints.items() if b == 1 and nat_cmp(r, q) < 0]
+        high = [r for r in nbits if r > q]
+        low = [r for r, b in constraints.items() if b == 1 and r < q]
         return from_bits(high + [q] + low)
     return from_bits(nbits)
 
@@ -277,3 +275,20 @@ def decode(obj):
     if isinstance(obj, dict) and set(obj) == {"^"}:
         return from_bits(decode(p) for p in obj["^"])
     raise ValueError(f"not an encoded vertex: {obj!r}")
+
+
+def encode_map(m):
+    """JSON-compatible encoding of a finite vertex map: ``[[u, m[u]], ...]``
+    by ascending u."""
+    return [[encode(u), encode(m[u])] for u in sorted(m)]
+
+
+def decode_map(pairs):
+    """Inverse of ``encode_map``; a duplicate domain vertex is a ValueError."""
+    m = {}
+    for u, w in pairs:
+        u = decode(u)
+        if u in m:
+            raise ValueError(f"duplicate domain vertex {u!r}")
+        m[u] = decode(w)
+    return m

@@ -212,7 +212,6 @@ def cmd_export_dot(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="radograph")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--trace", metavar="FILE", default=None)
     sub = p.add_subparsers(dest="command", required=True)

@@ -8,17 +8,16 @@ adjacency pattern towards finitely many existing vertices.
 from __future__ import annotations
 
 from . import bignat
-from .bignat import canon, nat_cmp, nat_key, succ, vmax
+from .bignat import canon, succ, vmax
 
 
 def adjacent(u, v):
     """Edge relation: bit min(u,v) of max(u,v). Irreflexive and symmetric."""
     u = canon(u)
     v = canon(v)
-    c = nat_cmp(u, v)
-    if c == 0:
+    if u == v:
         return False
-    lo, hi = (u, v) if c < 0 else (v, u)
+    lo, hi = (u, v) if u < v else (v, u)
     return bignat.bit_test(hi, lo)
 
 
@@ -38,13 +37,13 @@ def realize(tau, forbidden=(), lower_bound=0):
 
 def induced_subgraph(vertices):
     """Adjacency map restricted to the given finite vertex set."""
-    vs = sorted({canon(v) for v in vertices}, key=nat_key)
+    vs = sorted({canon(v) for v in vertices})
     return {v: [w for w in vs if adjacent(v, w)] for v in vs}
 
 
 def to_dot(vertices, name="radograph"):
     """GraphViz DOT text for the subgraph induced on the given vertices."""
-    vs = sorted({canon(v) for v in vertices}, key=nat_key)
+    vs = sorted({canon(v) for v in vertices})
     labels = {v: _label(v) for v in vs}
     lines = [f"graph {name} {{"]
     for v in vs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .bignat import canon, encode, decode, nat_cmp, nat_key, vmax
+from .bignat import canon, decode, decode_map, encode, encode_map, vmax
 from .errors import (
     ConstructionConflict,
     ImplementationFault,
@@ -292,10 +292,6 @@ class AutomorphismOracle:
             ])
         return v
 
-    def constraint_log(self):
-        self._require_constructed()
-        return {oid: set(vs) for oid, vs in self._constraints.items()}
-
     def develop(self, rounds=1):
         """One or more scheduler rounds: touch the least fresh natural, grow
         every orbit one step in each direction, then serve one witness task."""
@@ -337,19 +333,12 @@ class AutomorphismOracle:
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
-        if self.kind == "seeded":
-            seed = [[encode(u), encode(v)] for u, v in sorted(
-                self.seed and PartialAutomorphism(self.seed).pairs() or [],
-                key=lambda p: nat_key(p[0]),
-            )]
-        else:
-            seed = self.seed
-        core = sorted(self._fwd.items(), key=lambda p: nat_key(p[0]))
+        seed = encode_map(dict(self.seed or ())) if self.kind == "seeded" else self.seed
         return {
             "seed": seed,
             "kind": self.kind,
             "pattern": list(self.pattern) if self.pattern is not None else None,
-            "core": [[encode(u), encode(v)] for u, v in core],
+            "core": encode_map(self._fwd),
             "tasks": self.tasks,
         }
 
@@ -385,7 +374,7 @@ def replay(log):
     """Rebuild an oracle from its construction log by re-running every task."""
     kind = log["kind"]
     if kind == "seeded":
-        o = seeded_oracle([(decode(u), decode(v)) for u, v in log["seed"]])
+        o = seeded_oracle(decode_map(log["seed"]))
     elif kind == "identity":
         o = identity_oracle(log["seed"])
     elif kind == "fp":
@@ -401,7 +390,7 @@ def replay(log):
         elif op == "preimage":
             o.preimage(decode(task[1]))
         elif op == "develop":
-            o.develop(task[2] if len(task) > 2 else task[1])
+            o.develop(task[1])
         elif op == "star":
             o.star_witness({decode(w): b for w, b in task[1]}, task[2])
         elif op == "witness2":
@@ -409,32 +398,6 @@ def replay(log):
         else:
             raise ValueError(f"unknown task {op!r}")
     return o
-
-
-# -- module-level views matching the operation names ----------------------
-
-def image(o, v):
-    return o.image(v)
-
-
-def preimage(o, v):
-    return o.preimage(v)
-
-
-def restriction_fingerprint(o, m_set):
-    return o.restriction_fingerprint(m_set)
-
-
-def star_witness(o, tau, variant=STAR):
-    return o.star_witness(tau, variant)
-
-
-def orbit_id(o, v):
-    return o.orbit_id(v)
-
-
-def orbit_representatives(o):
-    return o.orbit_representatives()
 
 
 class CompactFamily:
@@ -487,18 +450,3 @@ class CompactFamily:
                 break
         return math.inf
 
-
-def family_image(k, m_set):
-    return k.family_image(m_set)
-
-
-def family_preimage(k, m_set):
-    return k.family_preimage(m_set)
-
-
-def m_star(k, m_set):
-    return k.m_star(m_set)
-
-
-def dK(k, x, y, radius):
-    return k.dK(x, y, radius)

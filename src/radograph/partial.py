@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .bignat import canon, encode, decode, nat_key
+from .bignat import canon, decode_map, encode_map
 from .errors import CycleDetected, EdgeViolation, NotInjective
 from .graph import adjacent
 
@@ -55,7 +55,7 @@ class PartialAutomorphism:
         return set(self._fwd) | set(self._fwd.values())
 
     def pairs(self):
-        return sorted(self._fwd.items(), key=lambda p: nat_key(p[0]))
+        return sorted(self._fwd.items())
 
     def apply(self, v, default=UNDEFINED):
         return self._fwd.get(canon(v), default)
@@ -128,7 +128,7 @@ class PartialAutomorphism:
                     v = self._fwd[v]
                 if cyc[0] in visited:
                     continue
-                least = min(range(len(cyc)), key=lambda i: nat_key(cyc[i]))
+                least = cyc.index(min(cyc))
                 cyc = cyc[least:] + cyc[:least]
                 visited.update(cyc)
                 out.append({"kind": "cycle", "vertices": cyc})
@@ -141,7 +141,7 @@ class PartialAutomorphism:
                 path.append(v)
             visited.update(path)
             out.append({"kind": "path", "vertices": path})
-        out.sort(key=lambda o: nat_key(o["vertices"][0]))
+        out.sort(key=lambda o: o["vertices"][0])
         return out
 
     def compose_path(self, other):
@@ -166,8 +166,8 @@ class PartialAutomorphism:
         return PartialAutomorphism((v, u) for u, v in self._fwd.items())
 
     def to_json(self):
-        return {"pairs": [[encode(u), encode(v)] for u, v in self.pairs()]}
+        return {"pairs": encode_map(self._fwd)}
 
     @classmethod
     def from_json(cls, obj):
-        return cls((decode(u), decode(v)) for u, v in obj["pairs"])
+        return cls(decode_map(obj["pairs"]))

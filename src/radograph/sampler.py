@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bignat import canon, nat_key
+from .bignat import canon
 from .graph import adjacent, realize
 from .oracle import seeded_oracle
 from .partial import PartialAutomorphism
@@ -33,7 +33,7 @@ def _pick(rng, fwd, anchor, allow_cycles, forward):
     rd = set(fwd) | set(fwd.values())
     cands = []
     if allow_cycles:
-        for w in sorted(rd - taken, key=nat_key):
+        for w in sorted(rd - taken):
             if w != anchor and all(adjacent(w, u) == bool(b) for u, b in tau.items()):
                 cands.append(w)
     forbidden = rd | {anchor}
@@ -130,7 +130,7 @@ def report(o, trials, seed=0):
         rate = "not-applicable"
     else:
         rng = random.Random(seed)
-        pool = sorted(core.rd(), key=nat_key) or [canon(0), canon(1)]
+        pool = sorted(core.rd()) or [canon(0), canon(1)]
         hits = 0
         for _ in range(trials):
             k = rng.randrange(1, min(4, len(pool)) + 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bignat import bits_desc, canon, nat_key, vmax
+from .bignat import bits_desc, canon, vmax
 from .errors import NotDisjoint
 from .graph import adjacent, realize
 
@@ -61,9 +61,9 @@ def split_finite(members, a_set, b_set):
     a_set = {canon(a) for a in a_set}
     b_set = {canon(b) for b in b_set}
     if a_set & b_set:
-        raise NotDisjoint(f"A and B share {sorted(a_set & b_set, key=nat_key)!r}")
+        raise NotDisjoint(f"A and B share {sorted(a_set & b_set)!r}")
     members = list(members)
-    window = sorted(a_set | b_set | set(range(16)), key=nat_key)
+    window = sorted(a_set | b_set | set(range(16)))
     tau = {a: 1 for a in a_set}
     tau.update({b: 0 for b in b_set})
     for i, f in enumerate(members):
@@ -81,7 +81,7 @@ def split(req):
     """Splitting point for req.m_set and req.family realizing req.tau,
     above req.exclusion_bound, separating images and preimages of every
     pair of members whose fingerprints on M differ."""
-    m_sorted = sorted({canon(m) for m in req.m_set}, key=nat_key)
+    m_sorted = sorted({canon(m) for m in req.m_set})
     tau = {m: 0 for m in m_sorted}
     for w, b in req.tau.items():
         w = canon(w)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bignat import canon, decode, encode, nat_key
+from .bignat import canon, decode, decode_map, encode, encode_map
 from .errors import (
     CertificateError,
     FiniteOrbitsUnsupported,
@@ -52,9 +52,7 @@ class TranslationResult:
         t = self.triple
         return {
             "steps": self.steps_run,
-            "g": [[encode(u), encode(w)] for u, w in sorted(
-                t.g.items(), key=lambda p: nat_key(p[0])
-            )],
+            "g": encode_map(t.g),
             "m_size": len(t.M),
             "classes": len(t.classes()),
             "checks_passed": self.checks_passed(),
@@ -82,7 +80,7 @@ def _even_round(t, trace, v=None, round_no=0):
         while canon(k) in t.g and canon(k) in t.g_inv:
             k += 1
         v = canon(k)
-    images = sorted({h.image(v) for h in t.family}, key=nat_key)
+    images = sorted({h.image(v) for h in t.family})
     t.add_to_m({v}, )
     t.add_to_m(images)
     _record(t, trace, round_no, "even", "add_to_m", [encode(v)] + [encode(w) for w in images])
@@ -251,17 +249,13 @@ def _certificate(t, index, member):
         if v in phi and hgv in phi:
             f.image(phi[v])  # pin f(phi(v)) into the serialized core
             points.append(v)
-    points.sort(key=nat_key)
+    points.sort()
     return {
         "kind": "conjugation",
         "f_ref": f.to_json(),
         "h_ref": "id" if member.kind == "identity" else member.to_json(),
-        "g": [[encode(u), encode(w)] for u, w in sorted(
-            t.g.items(), key=lambda p: nat_key(p[0])
-        )],
-        "phi": [[encode(u), encode(w)] for u, w in sorted(
-            phi.items(), key=lambda p: nat_key(p[0])
-        )],
+        "g": encode_map(t.g),
+        "phi": encode_map(phi),
         "checked_points": [encode(v) for v in points],
     }
 
@@ -274,13 +268,13 @@ def conjugation_certificate(f, fp, phi):
         if f.image(v) in fwd:
             fp.image(fwd[v])  # pin fp(phi(v)) into the serialized core
             points.append(v)
-    points.sort(key=nat_key)
+    points.sort()
     return {
         "kind": "conjugation",
         "f_ref": fp.to_json(),
         "h_ref": f.to_json(),
         "g": None,
-        "phi": [[encode(u), encode(w)] for u, w in phi.pairs()],
+        "phi": encode_map(fwd),
         "checked_points": [encode(v) for v in points],
     }
 
@@ -293,15 +287,11 @@ def verify(cert):
     try:
         if cert.get("kind") != "conjugation":
             raise CertificateError("not a conjugation certificate")
-        fcore = {decode(u): decode(w) for u, w in cert["f_ref"]["core"]}
+        fcore = decode_map(cert["f_ref"]["core"])
         href = cert["h_ref"]
-        hcore = None if href == "id" else {
-            decode(u): decode(w) for u, w in href["core"]
-        }
-        g = None if cert.get("g") is None else {
-            decode(u): decode(w) for u, w in cert["g"]
-        }
-        phi = {decode(u): decode(w) for u, w in cert["phi"]}
+        hcore = None if href == "id" else decode_map(href["core"])
+        g = None if cert.get("g") is None else decode_map(cert["g"])
+        phi = decode_map(cert["phi"])
         points = [decode(p) for p in cert["checked_points"]]
     except CertificateError:
         raise

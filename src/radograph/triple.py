@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bignat import canon, encode, decode, nat_key
+from .bignat import canon, decode, decode_map, encode, encode_map
 from .errors import (
     AlreadyDefined,
     ConstructionConflict,
@@ -89,7 +89,7 @@ class GoodTriple:
         return self
 
     def m_star(self):
-        return sorted(self.family.m_star(self.M), key=nat_key)
+        return sorted(self.family.m_star(self.M))
 
     def classes(self):
         mstar = self.m_star()
@@ -193,7 +193,7 @@ class GoodTriple:
             hg = self._hg_map(c)
             need = set(hg) | set(hg.values())
             if not need <= set(c.phi):
-                return fail("(ii)", sorted(need - set(c.phi), key=nat_key)[0])
+                return fail("(ii)", min(need - set(c.phi)))
 
         # (iii) vacuous: no finite-orbit set to respect
 
@@ -409,22 +409,11 @@ class GoodTriple:
     # -- serialization ----------------------------------------------------
 
     def to_snapshot(self):
-        phis = []
-        seen = []
-        for c in self.classes():
-            phis.append({
-                "fingerprint": [[encode(m), encode(w)] for m, w in c.key],
-                "map": [[encode(u), encode(w)] for u, w in sorted(
-                    c.phi.items(), key=lambda p: nat_key(p[0])
-                )],
-            })
-            seen.append(c.indices)
         return {
-            "g": [[encode(u), encode(w)] for u, w in sorted(
-                self.g.items(), key=lambda p: nat_key(p[0])
-            )],
-            "M": [encode(m) for m in sorted(self.M, key=nat_key)],
-            "phi": phis,
+            "g": encode_map(self.g),
+            "M": [encode(m) for m in sorted(self.M)],
+            "phi": [{"fingerprint": encode_map(c.hmap), "map": encode_map(c.phi)}
+                    for c in self.classes()],
             "family_ref": [h.to_json() for h in self.family],
             "target_ref": self.target.to_json(),
         }
@@ -439,18 +428,14 @@ class GoodTriple:
         t = cls.__new__(cls)
         t.family = family
         t.target = target
-        t.g = {}
-        t.g_inv = {}
-        for u, w in snapshot["g"]:
-            u, w = decode(u), decode(w)
-            t.g[u] = w
-            t.g_inv[w] = u
+        t.g = decode_map(snapshot["g"])
+        t.g_inv = {w: u for u, w in t.g.items()}
         t.M = {decode(m) for m in snapshot["M"]}
         by_key = {}
         for entry in snapshot["phi"]:
-            key = tuple((decode(m), decode(w)) for m, w in entry["fingerprint"])
-            by_key[key] = {decode(u): decode(w) for u, w in entry["map"]}
-        mstar = sorted(family.m_star(t.M), key=nat_key)
+            key = tuple(decode_map(entry["fingerprint"]).items())
+            by_key[key] = decode_map(entry["map"])
+        mstar = sorted(family.m_star(t.M))
         t._phi = []
         cache = {}
         for h in family.members:
@@ -495,34 +480,3 @@ def _chain_ids(hg, phi_dom):
 def init(family, target):
     return GoodTriple(family, target)
 
-
-def find_bad(t):
-    return t.find_bad()
-
-
-def find_ugly(t):
-    return t.find_ugly()
-
-
-def check(t):
-    return t.check()
-
-
-def extend_phi(t, cls, v):
-    return t.extend_phi(cls, v)
-
-
-def extend_phi_all(t, v):
-    return t.extend_phi_all(v)
-
-
-def extend_domain_g(t, v):
-    return t.extend_domain_g(v)
-
-
-def extend_range_g(t, v):
-    return t.extend_range_g(v)
-
-
-def extend_phi_range(t, z):
-    return t.extend_phi_range(z)

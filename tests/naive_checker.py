@@ -8,7 +8,7 @@ ground-truth image/orbit queries. Returns ALL violated condition names, not
 just the first.
 """
 
-from radograph.bignat import decode, nat_key
+from radograph.bignat import decode
 from radograph.errors import RadographError
 from radograph.graph import adjacent
 
@@ -22,7 +22,7 @@ def _load(snapshot, members):
     for h in members:
         for m in m_set:
             mstar.add(h.preimage(m))
-    mstar = sorted(mstar, key=nat_key)
+    mstar = sorted(mstar)
     by_key = {}
     for entry in snapshot["phi"]:
         key = tuple((decode(m), decode(w)) for m, w in entry["fingerprint"])
@@ -129,7 +129,7 @@ def violated_conditions(snapshot, members, target):
                 v = hg[v]
         # (v): distinct hg-chains must land in distinct target orbits
         comp = _components(list(hg.items()), sorted(
-            set(phi) | set(hg) | set(hg.values()), key=nat_key
+            set(phi) | set(hg) | set(hg.values())
         ))
         orbit_comp = {}
         for w in phi:

@@ -13,9 +13,10 @@ from radograph.bignat import (
     canon,
     encode,
     decode,
+    decode_map,
+    encode_map,
     from_bits,
     nat_cmp,
-    nat_key,
     succ,
     vmax,
     min_with_bits_geq,
@@ -100,7 +101,7 @@ def test_big_total_order_and_succ():
     c = from_bits([10 ** 10 + 1])
     assert a < b < c
     assert succ(a) == b
-    assert sorted([c, 5, a, b], key=nat_key) == [5, a, b, c]
+    assert sorted([c, 5, a, b]) == [5, a, b, c]
     assert vmax([5, a, c, b]) == c
 
 
@@ -166,7 +167,11 @@ def test_labelled_order_matches_structural_order():
     for a in values:
         for b in values:
             assert nat_cmp(a, b) == ref_cmp(a, b), (a, b)
-    assert sorted(values, key=nat_key) == sorted(values, key=cmp_to_key(ref_cmp))
+    ref_sorted = sorted(values, key=cmp_to_key(ref_cmp))
+    assert sorted(values) == ref_sorted
+    assert sorted(values, reverse=True) == ref_sorted[::-1]
+    assert max(values) == ref_sorted[-1]
+    assert min(values) == ref_sorted[0]
     labels = [entry.label for entry in bignat._order]
     assert labels == sorted(set(labels))
     assert all(entry()._label == entry.label for entry in bignat._order)
@@ -194,6 +199,12 @@ def test_encode_decode_roundtrip():
     for v in vs:
         assert decode(encode(v)) == v
     assert encode(7) == 7
+    m = {vs[2]: 0, 7: vs[3], vs[3]: vs[2], 0: 7}
+    pairs = encode_map(m)
+    assert [decode(u) for u, _ in pairs] == [0, 7, vs[2], vs[3]]
+    assert decode_map(pairs) == m
+    with pytest.raises(ValueError, match="duplicate"):
+        decode_map(pairs + [[encode(vs[2]), 1]])
 
 
 def test_induced_subgraph_small():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 
+import radograph
 from radograph.sampler import SAMPLING_RULE, report, sample
 
 
@@ -70,3 +74,29 @@ def test_report_json_labeled_exploratory():
     assert data["sampling_rule"] == SAMPLING_RULE
     assert data["seed"] == 9
     assert data["depth"] == 6
+
+
+# one line per sample seed: the sha256 of the sorted-key JSON of the core
+# before and after report, and of the report
+_SAMPLE_SCRIPT = """
+import hashlib, json
+from radograph.sampler import report, sample
+for s in range(8):
+    o = sample(s, 8)
+    before = o.core().to_json()
+    rep = report(o, 10, seed=s)
+    text = json.dumps([before, o.core().to_json(), rep.to_json()], sort_keys=True)
+    print(s, hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_sample_and_report_ignore_hash_seed():
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(radograph.__file__))
+        proc = subprocess.run([sys.executable, "-c", _SAMPLE_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout.splitlines())
+    assert len(outs[0]) == 8
+    assert outs[0] == outs[1]

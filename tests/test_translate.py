@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from radograph.bignat import canon, nat_key
+from radograph.bignat import canon
 from radograph.errors import CertificateError, FiniteOrbitsUnsupported, NotC0Built
 from radograph.oracle import (
     CompactFamily,
@@ -192,3 +192,11 @@ def test_verify_rejects_malformed():
     with pytest.raises(CertificateError):
         verify({"kind": "conjugation", "f_ref": {}, "h_ref": "id",
                 "phi": [], "checked_points": []})
+    # a vertex mapped twice: a later pair must not silently win
+    _, certs = truss_factor(seeded_oracle({0: 2}), 6)
+    for pick in (lambda c: c["phi"], lambda c: c["f_ref"]["core"]):
+        bad = copy.deepcopy(certs[-1])
+        pairs = pick(bad)
+        pairs.insert(next(i for i, (u, _) in enumerate(pairs) if u == 0), [0, 1000000])
+        with pytest.raises(CertificateError, match="duplicate domain vertex"):
+            verify(bad)

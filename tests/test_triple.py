@@ -29,13 +29,11 @@ def fresh(seed=0, members=None):
 
 def grown(t=None):
     """Triple with one full even-round of growth at vertex 0."""
-    from radograph.bignat import nat_key
-
     t = t or fresh()
     t.add_to_m({0} | t.family.family_image({0}))
     t.extend_phi_all(0)
     t.extend_domain_g(0)
-    for value in sorted({h.image(0) for h in t.family}, key=nat_key):
+    for value in sorted({h.image(0) for h in t.family}):
         t.extend_phi_all(value)
     t.extend_range_g(0)
     return t
