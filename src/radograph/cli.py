@@ -14,7 +14,7 @@ from .graph import adjacent, realize, to_dot
 from .oracle import CompactFamily, build_c0, build_fp, identity_oracle, replay, seeded_oracle
 from .partial import PartialAutomorphism
 from .sampler import report, sample
-from .splitting import SplitRequest, split
+from .splitting import split
 from .translate import (
     conjugate_c0,
     conjugation_certificate,
@@ -100,8 +100,7 @@ def cmd_realize(args):
 
 def cmd_split(args):
     fam = CompactFamily([parse_oracle_spec(s) for s in args.family])
-    v = split(SplitRequest(fam, set(_parse_ints(args.m)), _parse_tau(args.tau),
-                           args.bound))
+    v = split(fam, set(_parse_ints(args.m)), _parse_tau(args.tau), args.bound)
     return {"vertex": encode(v)}
 
 

@@ -36,10 +36,6 @@ class UntouchedVertex(RadographError):
     pass
 
 
-class NotDisjoint(RadographError):
-    pass
-
-
 class FiniteOrbitsUnsupported(RadographError):
     pass
 

@@ -347,7 +347,7 @@ def identity_oracle(seed=0):
     return AutomorphismOracle("identity", seed=seed)
 
 
-def seeded_oracle(pairs, seed=None):
+def seeded_oracle(pairs):
     pairs = [(canon(u), canon(v)) for u, v in (
         pairs.items() if hasattr(pairs, "items") else pairs
     )]

@@ -9,19 +9,8 @@ realizing the requested type plus all collected separation constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bignat import bits_desc, canon, vmax
-from .errors import NotDisjoint
 from .graph import adjacent, realize
-
-
-@dataclass
-class SplitRequest:
-    family: object           # CompactFamily
-    m_set: set = field(default_factory=set)
-    tau: dict = field(default_factory=dict)
-    exclusion_bound: object = 0
 
 
 def _witness_candidates(a, b, avoid):
@@ -55,55 +44,33 @@ def _add_separation(tau, avoid, w0_left, w0_right, pull_left, pull_right):
         return
 
 
-def split_finite(members, a_set, b_set):
-    """Vertex adjacent to all of A, to none of B, on which every pair of
-    members that disagrees on a finite window takes different images."""
-    a_set = {canon(a) for a in a_set}
-    b_set = {canon(b) for b in b_set}
-    if a_set & b_set:
-        raise NotDisjoint(f"A and B share {sorted(a_set & b_set)!r}")
-    members = list(members)
-    window = sorted(a_set | b_set | set(range(16)))
-    tau = {a: 1 for a in a_set}
-    tau.update({b: 0 for b in b_set})
-    for i, f in enumerate(members):
-        for g in members[i + 1:]:
-            w0 = next((w for w in window if f.image(w) != g.image(w)), None)
-            if w0 is None:
-                continue
-            avoid = frozenset(window) | set(tau)
-            _add_separation(tau, avoid, f.image(w0), g.image(w0),
-                            f.preimage, g.preimage)
-    return realize(tau, (), 0)
-
-
-def split(req):
-    """Splitting point for req.m_set and req.family realizing req.tau,
-    above req.exclusion_bound, separating images and preimages of every
-    pair of members whose fingerprints on M differ."""
-    m_sorted = sorted({canon(m) for m in req.m_set})
-    tau = {m: 0 for m in m_sorted}
-    for w, b in req.tau.items():
+def split(family, m_set, tau, exclusion_bound):
+    """Splitting point for m_set and family realizing tau, above
+    exclusion_bound, separating images and preimages of every pair of
+    members whose fingerprints on M differ."""
+    m_sorted = sorted({canon(m) for m in m_set})
+    full = {m: 0 for m in m_sorted}
+    for w, b in tau.items():
         w = canon(w)
-        if w not in tau:
+        if w not in full:
             raise ValueError(f"tau constrains {w!r} outside M")
-        tau[w] = 1 if b else 0
-    members = list(req.family)
+        full[w] = 1 if b else 0
+    members = list(family)
     for i, h in enumerate(members):
         for hp in members[i + 1:]:
             w0 = next((m for m in m_sorted if h.image(m) != hp.image(m)), None)
             if w0 is None:
                 continue
-            avoid = frozenset(m_sorted) | set(tau)
+            avoid = frozenset(m_sorted) | set(full)
             # forward separation: image(h, v) != image(hp, v)
-            _add_separation(tau, avoid, h.image(w0), hp.image(w0),
+            _add_separation(full, avoid, h.image(w0), hp.image(w0),
                             h.preimage, hp.preimage)
             # inverse separation via the K u K^{-1} trick: the inverses
             # differ at h(w0), since only h pulls it back to w0
             w0p = h.image(w0)
-            _add_separation(tau, avoid | set(tau), w0, hp.preimage(w0p),
+            _add_separation(full, avoid | set(full), w0, hp.preimage(w0p),
                             h.image, hp.image)
-    return realize(tau, (), vmax([canon(req.exclusion_bound)] + m_sorted))
+    return realize(full, (), vmax([canon(exclusion_bound)] + m_sorted))
 
 
 def split_far(family, m_set, tau):
@@ -116,4 +83,4 @@ def split_far(family, m_set, tau):
         + [canon(w) for w in tau]
         + [h._max for h in family]
     )
-    return split(SplitRequest(family, set(m_set), dict(tau), bound))
+    return split(family, m_set, tau, bound)

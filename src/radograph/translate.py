@@ -102,22 +102,20 @@ def _even_round(t, trace, v=None, round_no=0):
     return v
 
 
-def _covered(t, z):
-    zoid = t.target.orbit_id(z)
-    return all(
-        any(t.target.orbit_id(pv) == zoid for pv in c.phi.values())
-        for c in t.classes()
-    )
+def _uncovered(t):
+    """The first orbit representative that some class's phi-range misses."""
+    f = t.target
+    met = [{f.orbit_id(pv) for pv in c.phi.values()} for c in t.classes()]
+    return next((r for r in f.orbit_representatives()
+                 if any(f.orbit_id(r) not in oids for oids in met)), None)
 
 
 def _odd_round(t, trace, round_no):
     """Pull the least-index uncovered target orbit into every phi-range."""
-    reps = t.target.orbit_representatives()
-    z = next((r for r in reps if not _covered(t, r)), None)
+    z = _uncovered(t)
     if z is None:
         t.target.develop(1)
-        reps = t.target.orbit_representatives()
-        z = next((r for r in reps if not _covered(t, r)), None)
+        z = _uncovered(t)
     if z is None:
         trace.append({"round": round_no, "parity": "odd", "op": "noop", "arg": None,
                       "check": t.check()})

@@ -29,16 +29,19 @@ from .splitting import split_far
 
 @dataclass
 class ClassView:
-    """One restriction class over the current M*: fingerprint, members, phi."""
+    """One restriction class over M*: fingerprint, members, phi and h o g.
+
+    A view describes one state of g and M; any mutation of either makes it
+    stale, so derive a new one with GoodTriple.classes() after each.
+    """
 
     key: tuple
     indices: list
     phi: dict
     hmap: dict   # m -> h(m) on M*
     hinv: dict   # h(m) -> m
-
-    def hg_range(self, g):
-        return {self.hmap[v] for v in g.values()}
+    hg: dict     # w -> h(g(w)), over the w with g(w) in M*
+    ran: set     # values of hg
 
 
 @dataclass
@@ -95,8 +98,7 @@ class GoodTriple:
         mstar = self.m_star()
         groups = {}
         for i, h in enumerate(self.family.members):
-            key = tuple((m, h.image(m)) for m in mstar)
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(_fingerprint(h, mstar), []).append(i)
         out = []
         for key, idxs in groups.items():
             ph = self._phi[idxs[0]]
@@ -109,28 +111,24 @@ class GoodTriple:
                             "members with equal fingerprints hold different phi"
                         )
             hmap = dict(key)
-            out.append(ClassView(key, idxs, ph, hmap, {v: m for m, v in hmap.items()}))
+            hg = {w: hmap[vb] for w, vb in self.g.items() if vb in hmap}
+            out.append(ClassView(key, idxs, ph, hmap, {v: m for m, v in hmap.items()},
+                                 hg, set(hg.values())))
         return out
-
-    def _hg_map(self, cls):
-        return {w: cls.hmap[vb] for w, vb in self.g.items()}
 
     # -- detectors --------------------------------------------------------
 
-    def find_bad(self):
+    def find_bad(self, classes):
         out = []
-        classes = self.classes()
         f = self.target
         for c in classes:
-            ran_c = c.hg_range(self.g)
             for c2 in classes:
-                ran_c2 = c2.hg_range(self.g)
                 for x in c.phi:
-                    if x in ran_c or x not in c.hinv:
+                    if x in c.ran or x not in c.hinv:
                         continue
                     u = c.hinv[x]
                     xp = c2.hmap.get(u)
-                    if xp is None or xp not in c2.phi or xp in ran_c2:
+                    if xp is None or xp not in c2.phi or xp in c2.ran:
                         continue
                     for y in c.phi:
                         if y in self.g or y not in c2.phi:
@@ -143,19 +141,16 @@ class GoodTriple:
                             )
         return out
 
-    def find_ugly(self):
+    def find_ugly(self, classes):
         out = []
-        classes = self.classes()
         f = self.target
         for c in classes:
-            ran_c = c.hg_range(self.g)
             for c2 in classes:
-                ran_c2 = c2.hg_range(self.g)
                 for x in c.phi:
-                    if x in ran_c or x not in c.hinv:
+                    if x in c.ran or x not in c.hinv:
                         continue
                     y = c2.hmap.get(c.hinv[x])
-                    if y is None or y in ran_c2 or y in self.g:
+                    if y is None or y in c2.ran or y in self.g:
                         continue
                     if y in c2.phi:
                         continue
@@ -190,23 +185,20 @@ class GoodTriple:
         for c in classes:
             if not set(c.phi) <= self.M:
                 return fail("(ii)", "dom(phi) escapes M")
-            hg = self._hg_map(c)
-            need = set(hg) | set(hg.values())
+            need = set(c.hg) | c.ran
             if not need <= set(c.phi):
                 return fail("(ii)", min(need - set(c.phi)))
 
         # (iii) vacuous: no finite-orbit set to respect
 
         for c in classes:
-            hg = self._hg_map(c)
-            for v, w in hg.items():
+            for v, w in c.hg.items():
                 if v in c.phi and w in c.phi:
                     if c.phi[w] != f.image(c.phi[v]):
                         return fail("(iv)", encode(v))
 
         for c in classes:
-            hg = self._hg_map(c)
-            chain_of = _chain_ids(hg, c.phi)
+            chain_of = _chain_ids(c.hg, c.phi)
             if chain_of is None:
                 return fail("(vii)", c.indices)
             orbit_of_chain = {}
@@ -231,10 +223,10 @@ class GoodTriple:
                     if adjacent(f.image(c.phi[w]), c.phi[w]) and w not in c2.phi:
                         return fail("(viii)", encode(w))
 
-        ugly = self.find_ugly()
+        ugly = self.find_ugly(classes)
         if ugly:
             return fail("(ix)", ugly[0])
-        bad = self.find_bad()
+        bad = self.find_bad(classes)
         if bad:
             return fail("(x)", bad[0])
         return {"ok": True}
@@ -254,17 +246,16 @@ class GoodTriple:
         req = []
         for w, pw in cls.phi.items():
             req.append((pw, 1 if adjacent(v, w) else 0, "match"))
-        ran_c = cls.hg_range(self.g)
         if v not in self.g:
             # pre-empt bad/ugly situations with v in the y slot
             for x in cls.phi:
-                if x in ran_c or x not in cls.hinv:
+                if x in cls.ran or x not in cls.hinv:
                     continue
                 u = cls.hinv[x]
                 key = None
                 for c2 in classes:
                     xp = c2.hmap.get(u)
-                    if xp is None or xp in c2.hg_range(self.g):
+                    if xp is None or xp in c2.ran:
                         continue
                     if xp in c2.phi and v in c2.phi:
                         if key is None:
@@ -276,11 +267,11 @@ class GoodTriple:
                             key = f.preimage(cls.phi[x])
                         req.append((key, 0, "pre-ugly-y"))
             # pre-empt situations with v in the x slot
-            if v not in ran_c and v in cls.hinv:
+            if v not in cls.ran and v in cls.hinv:
                 u0 = cls.hinv[v]
                 for c2 in classes:
                     xp = c2.hmap.get(u0)
-                    if xp is None or xp in c2.hg_range(self.g):
+                    if xp is None or xp in c2.ran:
                         continue
                     for y in cls.phi:
                         if y in self.g:
@@ -435,17 +426,22 @@ class GoodTriple:
         for entry in snapshot["phi"]:
             key = tuple(decode_map(entry["fingerprint"]).items())
             by_key[key] = decode_map(entry["map"])
-        mstar = sorted(family.m_star(t.M))
+        mstar = t.m_star()
         t._phi = []
         cache = {}
         for h in family.members:
-            key = tuple((m, h.image(m)) for m in mstar)
+            key = _fingerprint(h, mstar)
             if key not in by_key:
                 raise ValueError("snapshot phi does not cover a family member")
             if key not in cache:
                 cache[key] = dict(by_key[key])
             t._phi.append(cache[key])
         return t
+
+
+def _fingerprint(h, mstar):
+    """h restricted to M*, as the (m, h(m)) pairs in M* order."""
+    return tuple((m, h.image(m)) for m in mstar)
 
 
 def _chain_ids(hg, phi_dom):

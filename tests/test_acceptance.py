@@ -21,7 +21,7 @@ from radograph.oracle import (
     replay,
     seeded_oracle,
 )
-from radograph.splitting import SplitRequest, split, split_far
+from radograph.splitting import split, split_far
 from radograph.translate import translate, truss_factor, verify
 from radograph.triple import GoodTriple
 
@@ -89,7 +89,7 @@ def test_criterion_2_splitting_soundness():
         m_set = set(rng.sample(range(7), rng.randrange(1, 7)))
         tau = {m: rng.randrange(2) for m in m_set}
         bound = rng.randrange(0, 6)
-        v = split(SplitRequest(fam, m_set, tau, bound))
+        v = split(fam, m_set, tau, bound)
         assert v > bound
         for m in m_set:
             assert adjacent(m, v) == bool(tau[m])
@@ -128,8 +128,8 @@ def test_criterion_3_good_triple_induction(translation_runs):
         for entry in res.trace:
             assert entry["check"]["ok"], entry
             total_checks += 1
-        assert res.triple.find_bad() == []
-        assert res.triple.find_ugly() == []
+        assert res.triple.find_bad(res.triple.classes()) == []
+        assert res.triple.find_ugly(res.triple.classes()) == []
     elapsed = time.monotonic() - start
     assert total_checks >= 800
     assert elapsed <= 600.0
@@ -324,7 +324,8 @@ def test_criterion_9_checker_mutation_detection():
         detected = False
         try:
             rep = t.check()
-            detected = not rep["ok"] or bool(t.find_bad()) or bool(t.find_ugly())
+            detected = (not rep["ok"] or bool(t.find_bad(t.classes()))
+                        or bool(t.find_ugly(t.classes())))
         except Exception:
             detected = True
         if detected:

@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radograph import adjacent
-from radograph.errors import NotDisjoint
 from radograph.oracle import CompactFamily, build_c0, identity_oracle, seeded_oracle
-from radograph.splitting import SplitRequest, split, split_finite, split_far
+from radograph.splitting import split, split_far
 
 SWAP = {0: 1, 1: 0}
-
-
-def test_split_finite_identity_only():
-    assert split_finite([identity_oracle()], {0}, set()) == realize_scan({0: 1})
 
 
 def realize_scan(tau, forbidden=(), lb=0):
@@ -23,63 +18,23 @@ def realize_scan(tau, forbidden=(), lb=0):
         v += 1
 
 
-def test_split_finite_identical_members_frozen():
-    # identical members impose no separation; plain scan gives 5
-    v = split_finite([identity_oracle(0), identity_oracle(1)], {0}, {1})
-    assert v == realize_scan({0: 1, 1: 0}) == 5
-
-
-def test_split_finite_not_disjoint():
-    with pytest.raises(NotDisjoint):
-        split_finite([identity_oracle()], {0, 1}, {1, 2})
-
-
-def test_split_finite_separates():
-    f, g = identity_oracle(), seeded_oracle(SWAP)
-    v = split_finite([f, g], set(), set())
-    assert f.image(v) != g.image(v)
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_split_finite_soundness_random(data):
-    n_members = data.draw(st.integers(1, 4))
-    members = []
-    for i in range(n_members):
-        if data.draw(st.booleans()):
-            members.append(identity_oracle(seed=i))
-        else:
-            shift = data.draw(st.sampled_from([SWAP, {2: 3, 3: 2}, {0: 1, 1: 0, 4: 8, 8: 4}]))
-            members.append(seeded_oracle(shift))
-    a_set = data.draw(st.sets(st.integers(0, 10), max_size=4))
-    b_set = data.draw(st.sets(st.integers(0, 10), max_size=4)) - a_set
-    v = split_finite(members, a_set, b_set)
-    assert all(adjacent(a, v) for a in a_set)
-    assert not any(adjacent(b, v) for b in b_set)
-    window = sorted(a_set | b_set | set(range(16)))
-    for i, f in enumerate(members):
-        for g in members[i + 1:]:
-            if any(f.image(w) != g.image(w) for w in window):
-                assert f.image(v) != g.image(v)
-
-
 def test_split_singleton_agreement_frozen():
     fam = CompactFamily([identity_oracle()])
-    v = split(SplitRequest(fam, {0}, {0: 1}, 0))
+    v = split(fam, {0}, {0: 1}, 0)
     assert v == realize_scan({0: 1}, {0}, 0) == 1
 
 
 def test_split_tau_outside_m_rejected():
     fam = CompactFamily([identity_oracle()])
     with pytest.raises(ValueError):
-        split(SplitRequest(fam, {0}, {5: 1}, 0))
+        split(fam, {0}, {5: 1}, 0)
 
 
 def test_split_full_postconditions():
     fam = CompactFamily([identity_oracle(), seeded_oracle(SWAP)])
     m_set = {0, 1}
     tau = {0: 0, 1: 0}
-    v = split(SplitRequest(fam, m_set, tau, 1))
+    v = split(fam, m_set, tau, 1)
     assert v > 1
     assert not adjacent(0, v) and not adjacent(1, v)
     h, hp = fam.members
@@ -89,7 +44,7 @@ def test_split_full_postconditions():
 
 def test_split_equal_members_no_separation():
     fam = CompactFamily([identity_oracle(0), identity_oracle(1)])
-    v = split(SplitRequest(fam, {2, 3}, {2: 1}, 0))
+    v = split(fam, {2, 3}, {2: 1}, 0)
     assert adjacent(2, v) and not adjacent(3, v)
 
 
@@ -110,7 +65,7 @@ def test_split_soundness_random(data):
     m_set = set(data.draw(st.sets(st.integers(0, 6), min_size=1, max_size=5)))
     tau = {m: data.draw(st.integers(0, 1)) for m in m_set}
     bound = data.draw(st.integers(0, 8))
-    v = split(SplitRequest(fam, m_set, tau, bound))
+    v = split(fam, m_set, tau, bound)
     assert v > bound
     for m in m_set:
         assert adjacent(m, v) == bool(tau[m])

@@ -1,6 +1,7 @@
 import pytest
 
-from radograph import adjacent
+from radograph import adjacent, realize
+from radograph.bignat import decode, decode_map, encode_map
 from radograph.errors import (
     AlreadyDefined,
     ConstructionConflict,
@@ -42,8 +43,8 @@ def grown(t=None):
 def test_init_passes_check():
     t = fresh()
     assert t.check() == {"ok": True}
-    assert t.find_bad() == []
-    assert t.find_ugly() == []
+    assert t.find_bad(t.classes()) == []
+    assert t.find_ugly(t.classes()) == []
 
 
 def test_init_rejects_cycle_member():
@@ -181,7 +182,7 @@ def test_planted_bad_situation_found():
     # an edge between phi(0) and f(phi(4)) only on the identity side
     x_new = f.star_witness({f.image(c1.phi[4]): 1}, "(*)0")
     c1.phi[0] = x_new
-    bad = t.find_bad()
+    bad = t.find_bad(t.classes())
     assert any(b.x == 0 and b.y == 4 for b in bad)
     rep = t.check()
     assert rep["ok"] is False
@@ -198,15 +199,27 @@ def test_snapshot_roundtrip():
     assert t2.to_snapshot()["phi"] == snap["phi"]
 
 
+def test_snapshot_g_leaving_m_fails_ii():
+    # g(0) moves to a fresh vertex outside M of the same adjacency type, so g
+    # stays a partial automorphism and only rd(g) <= M breaks
+    snap = grown().to_snapshot()
+    g = decode_map(snap["g"])
+    M = {decode(m) for m in snap["M"]}
+    g[0] = realize({g[u]: adjacent(u, 0) for u in g if u != 0}, M, max(M))
+    assert g[0] not in M
+    snap["g"] = encode_map(g)
+    fam = CompactFamily([replay(log) for log in snap["family_ref"]])
+    t = GoodTriple.from_snapshot(snap, fam, replay(snap["target_ref"]))
+    rep = t.check()
+    assert rep["ok"] is False
+    assert rep["condition"] == "(ii)"
+
+
 def test_snapshot_mismatched_phi_rejected():
     t = grown()
     snap = t.to_snapshot()
     snap["phi"] = snap["phi"][:1] if len(snap["phi"]) > 1 else []
     fam = CompactFamily([replay(log) for log in snap["family_ref"]])
     target = replay(snap["target_ref"])
-    if not snap["phi"]:
-        with pytest.raises(ValueError):
-            GoodTriple.from_snapshot(snap, fam, target)
-    else:
-        with pytest.raises(ValueError):
-            GoodTriple.from_snapshot(snap, fam, target)
+    with pytest.raises(ValueError):
+        GoodTriple.from_snapshot(snap, fam, target)
