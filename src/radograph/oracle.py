@@ -92,7 +92,7 @@ class AutomorphismOracle:
             return v
         if v in self._fwd:
             return self._fwd[v]
-        self.tasks.append(["image", encode(v)])
+        self.tasks.append(["image", v])
         if self.constructed:
             oid = self._orbit_of.get(v)
             if oid is None:
@@ -108,7 +108,7 @@ class AutomorphismOracle:
             return v
         if v in self._bwd:
             return self._bwd[v]
-        self.tasks.append(["preimage", encode(v)])
+        self.tasks.append(["preimage", v])
         if self.constructed:
             oid = self._orbit_of.get(v)
             if oid is None:
@@ -244,22 +244,15 @@ class AutomorphismOracle:
                 raise ConstructionConflict(
                     f"variant {variant} contradicts the orbit edge pattern"
                 )
+        req = {canon(w): 1 if b else 0 for w, b in tau.items()}
         full = {t: 0 for t in self._orbit_of}
-        for w, b in tau.items():
-            full[canon(w)] = 1 if b else 0
+        full.update(req)
         v = realize(full, (), self._max)
         self._touch(v)
         if variant in (STAR0, STAR1):
             self._pending[v] = 0 if variant == STAR0 else 1
         if _log:
-            self.tasks.append([
-                "star",
-                sorted(
-                    ([encode(w), 1 if b else 0] for w, b in tau.items()),
-                    key=lambda p: str(p[0]),
-                ),
-                variant,
-            ])
+            self.tasks.append(["star", req, variant])
         return v
 
     def c0_witness(self, a_set, b_set, _log=True):
@@ -285,11 +278,7 @@ class AutomorphismOracle:
         for oid in oids:
             self._constraints.setdefault(oid, set()).add(v)
         if _log:
-            self.tasks.append([
-                "witness2",
-                sorted((encode(a) for a in a_set), key=str),
-                sorted((encode(b) for b in b_set), key=str),
-            ])
+            self.tasks.append(["witness2", a_set, b_set])
         return v
 
     def develop(self, rounds=1):
@@ -339,8 +328,23 @@ class AutomorphismOracle:
             "kind": self.kind,
             "pattern": list(self.pattern) if self.pattern is not None else None,
             "core": encode_map(self._fwd),
-            "tasks": self.tasks,
+            "tasks": [_encode_task(task) for task in self.tasks],
         }
+
+
+def _encode_task(task):
+    """JSON form of one task-log entry; the log holds vertices until here."""
+    op = task[0]
+    if op in ("image", "preimage"):
+        return [op, encode(task[1])]
+    if op == "star":
+        pairs = sorted(([encode(w), b] for w, b in task[1].items()),
+                       key=lambda p: str(p[0]))
+        return [op, pairs, task[2]]
+    if op == "witness2":
+        return [op, sorted(map(encode, task[1]), key=str),
+                sorted(map(encode, task[2]), key=str)]
+    return list(task)
 
 
 def identity_oracle(seed=0):

@@ -36,11 +36,13 @@ def _pick(rng, fwd, anchor, allow_cycles, forward):
         for w in sorted(rd - taken):
             if w != anchor and all(adjacent(w, u) == bool(b) for u, b in tau.items()):
                 cands.append(w)
+    # realize returns the least realizer above lower_bound, so stepping
+    # from the previous candidate lists the realizers in ascending order
     forbidden = rd | {anchor}
+    w = 0
     while len(cands) < _CHOICES:
-        w = realize(tau, forbidden, 0)
+        w = realize(tau, forbidden, w)
         cands.append(w)
-        forbidden = forbidden | {w}
     return cands[rng.randrange(len(cands))]
 
 
@@ -105,19 +107,15 @@ def _orbit_ball(o, starts, cap):
     return ball
 
 
-def _witness_found(o, a_set, b_set, cap=4, attempts=8):
-    """Bounded search for v adjacent to A, non-adjacent to B, outside the
-    cap-step orbit ball of A and B."""
+def _witness_found(o, a_set, b_set, cap=4):
+    """Search for v adjacent to A, non-adjacent to B, outside the cap-step
+    orbit ball of A and B. By the extension property such a v always
+    exists and ``realize`` never returns a forbidden vertex, so the success
+    rate is 1; the ball's queries still extend o."""
     ball = _orbit_ball(o, a_set | b_set, cap)
     tau = {a: 1 for a in a_set}
     tau.update({b: 0 for b in b_set})
-    forbidden = set(ball)
-    for _ in range(attempts):
-        v = realize(tau, forbidden, 0)
-        if v not in ball:
-            return True
-        forbidden.add(v)
-    return False
+    return realize(tau, ball, 0) not in ball
 
 
 def report(o, trials, seed=0):

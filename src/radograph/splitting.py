@@ -19,11 +19,10 @@ def _witness_candidates(a, b, avoid):
     for p in reversed(bits_desc(a)):
         if p not in avoid and p != b and not adjacent(p, b):
             yield p
-    extra = set(avoid)
+    v = vmax([a, b])
     while True:
-        v = realize({a: 1, b: 0}, extra, vmax([a, b]))
+        v = realize({a: 1, b: 0}, avoid, v)
         yield v
-        extra.add(v)
 
 
 def _add_separation(tau, avoid, w0_left, w0_right, pull_left, pull_right):

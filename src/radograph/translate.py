@@ -84,17 +84,19 @@ def _even_round(t, trace, v=None, round_no=0):
     t.add_to_m({v}, )
     t.add_to_m(images)
     _record(t, trace, round_no, "even", "add_to_m", [encode(v)] + [encode(w) for w in images])
-    for cls in t.classes():
+    classes = t.classes()
+    for cls in classes:
         if v not in cls.phi:
-            t.extend_phi(cls, v)
+            t.extend_phi(classes, cls, v)
             _record(t, trace, round_no, "even", "extend_phi", encode(v))
     if v not in t.g:
         t.extend_domain_g(v)
         _record(t, trace, round_no, "even", "extend_domain_g", encode(v))
+    classes = t.classes()
     for w in images:
-        for cls in t.classes():
+        for cls in classes:
             if w not in cls.phi:
-                t.extend_phi(cls, w)
+                t.extend_phi(classes, cls, w)
                 _record(t, trace, round_no, "even", "extend_phi", encode(w))
     if v not in t.g_inv:
         t.extend_range_g(v)

@@ -233,16 +233,16 @@ class GoodTriple:
 
     # -- extension operations ---------------------------------------------
 
-    def extend_phi(self, cls, v):
-        """Define the class's phi at v by a fresh-orbit target witness whose
-        adjacency type pre-empts every bad and ugly situation."""
+    def extend_phi(self, classes, cls, v):
+        """Define phi of cls, one class of the current view classes, at v by
+        a fresh-orbit target witness whose adjacency type pre-empts every bad
+        and ugly situation. Only cls.phi changes, so the view stays current."""
         v = canon(v)
         if v not in self.M:
             raise ValueError(f"{v!r} is outside M")
         if v in cls.phi:
             raise AlreadyDefined(f"phi already defined at {v!r}")
         f = self.target
-        classes = self.classes()
         req = []
         for w, pw in cls.phi.items():
             req.append((pw, 1 if adjacent(v, w) else 0, "match"))
@@ -295,9 +295,10 @@ class GoodTriple:
 
     def extend_phi_all(self, v):
         v = canon(v)
-        for cls in self.classes():
+        classes = self.classes()
+        for cls in classes:
             if v not in cls.phi:
-                self.extend_phi(cls, v)
+                self.extend_phi(classes, cls, v)
         return self
 
     def _merge_tau(self, entries):

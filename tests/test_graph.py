@@ -65,6 +65,26 @@ def test_realize_matches_brute_force(tau, forbidden, lb):
 
 
 @given(
+    tau=st.dictionaries(st.integers(0, 8), st.booleans(), max_size=5),
+    forbidden=st.sets(st.integers(0, 60), max_size=8),
+)
+@settings(max_examples=50, deadline=None)
+def test_realizers_step_from_previous(tau, forbidden):
+    # realizers ascend, so the next one is the least above the previous:
+    # stepping lower_bound lists what growing the forbidden set lists
+    stepped, grown, ref = [], [], []
+    w, grow = 0, set(forbidden)
+    for _ in range(16):
+        w = realize(tau, forbidden, w)
+        stepped.append(w)
+        grown.append(realize(tau, grow, 0))
+        grow.add(grown[-1])
+        ref.append(brute_realize(tau, forbidden | set(ref), 0))
+    assert stepped == ref
+    assert grown == ref
+
+
+@given(
     n=st.integers(0, 1 << 16),
     cons=st.dictionaries(st.integers(0, 16), st.integers(0, 1), max_size=8),
 )

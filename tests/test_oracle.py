@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radograph import adjacent, bignat
+from radograph import adjacent, bignat, oracle
 from radograph.errors import (
     ConstructionConflict,
     NotConstructed,
@@ -22,6 +22,7 @@ from radograph.oracle import (
     replay,
     seeded_oracle,
 )
+from radograph.sampler import report, sample
 
 SWAP = {0: 1, 1: 0}
 
@@ -252,6 +253,38 @@ def test_replay_constructed_exact():
     o.image(17)
     copy = replay(o.to_json())
     assert copy.to_json()["core"] == o.to_json()["core"]
+
+
+def test_task_log_encoded_only_by_to_json(monkeypatch):
+    def refuse(v):
+        raise AssertionError("task log encoded before to_json")
+
+    monkeypatch.setattr(oracle, "encode", refuse)
+    report(sample(0, 12), 10)
+    o = sample(0, 8)
+    report(o, 10)
+    monkeypatch.undo()
+    # a depth-12 log is about 14 MB of tree-encoded vertices; depth 8 keeps
+    # the round trip quick
+    data = o.to_json()
+    assert o.to_json() == data
+    assert replay(data).to_json() == data
+
+
+def test_task_log_keeps_own_copy_of_arguments():
+    o = build_c0(seed=0)
+    o.develop(3)
+    t = o.touched()
+    tau = {t[0]: 1, t[1]: 0}
+    a_set, b_set = {t[2]}, {t[3]}
+    o.star_witness(tau, STAR0)
+    o.c0_witness(a_set, b_set)
+    data = o.to_json()
+    tau[t[0]] = 0
+    tau[t[4]] = 1
+    a_set.add(t[4])
+    b_set.clear()
+    assert o.to_json() == data
 
 
 def test_unknown_kind_rejected():

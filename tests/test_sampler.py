@@ -6,6 +6,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 import radograph
+from radograph import bignat, oracle, sampler
 from radograph.sampler import SAMPLING_RULE, report, sample
 
 
@@ -65,6 +66,35 @@ def test_report_zero_trials_not_applicable():
 def test_report_rate_in_unit_interval():
     rep = report(sample(seed=5, depth=8), trials=10)
     assert 0.0 <= rep.witness_success_rate <= 1.0
+
+
+def test_report_witness_rate_is_one():
+    for seed in range(6):
+        for depth in (0, 6, 10):
+            rep = report(sample(seed=seed, depth=depth), trials=8, seed=seed)
+            assert rep.witness_success_rate == 1.0
+
+
+def test_realizers_walked_once(monkeypatch):
+    # each fresh candidate costs about one min_with_bits_geq step
+    calls = {"min": 0, "realize": 0}
+
+    def count(module, name, key):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(bignat, "min_with_bits_geq", "min")
+    count(sampler, "realize", "realize")
+    count(oracle, "realize", "realize")
+    for s in range(4):
+        report(sample(s, 8), 10, seed=s)
+    assert calls["realize"] > 0
+    assert calls["min"] <= 2 * calls["realize"]
 
 
 def test_report_json_labeled_exploratory():

@@ -79,8 +79,9 @@ def test_extend_phi_twice_same_class_errors():
     t = fresh()
     t.add_to_m({0})
     t.extend_phi_all(0)
+    classes = t.classes()
     with pytest.raises(AlreadyDefined):
-        t.extend_phi(t.classes()[0], 0)
+        t.extend_phi(classes, classes[0], 0)
 
 
 def test_extend_phi_outside_m_rejected():
