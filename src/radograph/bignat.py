@@ -13,6 +13,14 @@ deep their bit positions nest. The intern table and the order list are
 process-wide, hold each live ``Big`` weakly, drop it when it is collected and
 so never hold more entries than there are live ``Big`` values.
 
+Every vertex passed inside ``radograph`` is canonical: an ``int`` of at
+most ``INT_BIT_LIMIT`` bits, else a ``Big``. ``canon`` establishes this once,
+where a value enters: in this module (``canon``, ``decode``, ``succ``'s int
+step, ``nat_cmp``'s mixed compare), in the CLI's integer arguments, and in the
+oracle constructors (the ``build_fp``/``build_c0`` seed and the
+``seeded_oracle`` pairs), which ``replay`` reaches with raw JSON seeds. No
+other function re-checks its arguments.
+
 Naturals compare with Python's own operators: ``<``, ``sorted``, ``min`` and
 ``max`` order any mix of canonical ints and ``Big`` values (an int on the
 left defers to the reflected ``Big`` method). A label is read at compare
@@ -156,7 +164,10 @@ class Big:
 
 
 def canon(x):
-    """Canonical representation: small ints stay ints, everything else is Big."""
+    """Canonical representation: small ints stay ints, everything else is Big.
+
+    Called only where a value enters (see the module docstring); a negative
+    int is a ValueError, anything else not a natural a TypeError."""
     if isinstance(x, Big):
         return x
     if isinstance(x, int):
@@ -193,11 +204,11 @@ def nat_cmp(a, b):
 
 
 def from_bits(positions):
-    """Build the natural with exactly the given set bit positions."""
-    seen = {}
-    for p in positions:
-        seen.setdefault(canon(p), None)
-    ps = list(seen)
+    """Build the natural with exactly the given set bit positions, which
+    must be canonical (see the module docstring); repeats are ignored.
+    First-seen order is kept: positions often arrive descending, which
+    ``sorted`` then checks in one pass."""
+    ps = list(dict.fromkeys(positions))
     if all(isinstance(p, int) for p in ps) and (not ps or max(ps) < INT_BIT_LIMIT):
         return sum(1 << p for p in ps)
     return Big(tuple(sorted(ps, reverse=True)))

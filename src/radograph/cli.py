@@ -1,6 +1,7 @@
 """Batch command-line front end: graph queries, builders, the translation
 driver, and offline certificate verification. JSON on stdout by default;
---pretty renders small human tables instead."""
+--pretty renders small human tables instead. Integer vertex arguments are
+canonicalized here, where they enter (see ``bignat``)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .bignat import decode, encode
+from .bignat import canon, encode
 from .errors import RadographError
 from .graph import adjacent, realize, to_dot
 from .oracle import CompactFamily, build_c0, build_fp, identity_oracle, replay, seeded_oracle
@@ -47,12 +48,12 @@ def _parse_tau(text):
     if text:
         for item in text.split(","):
             k, v = item.split(":")
-            tau[int(k)] = int(v)
+            tau[canon(int(k))] = int(v)
     return tau
 
 
-def _parse_ints(text):
-    return [int(x) for x in text.split(",")] if text else []
+def _parse_vertices(text):
+    return [canon(int(x)) for x in text.split(",")] if text else []
 
 
 def _pretty(data, out, indent=""):
@@ -90,17 +91,17 @@ def _write_trace(args, payload):
 
 
 def cmd_adj(args):
-    return {"adjacent": adjacent(args.u, args.v)}
+    return {"adjacent": adjacent(canon(args.u), canon(args.v))}
 
 
 def cmd_realize(args):
-    v = realize(_parse_tau(args.tau), _parse_ints(args.forbid), args.bound)
+    v = realize(_parse_tau(args.tau), _parse_vertices(args.forbid), canon(args.bound))
     return {"vertex": encode(v)}
 
 
 def cmd_split(args):
     fam = CompactFamily([parse_oracle_spec(s) for s in args.family])
-    v = split(fam, set(_parse_ints(args.m)), _parse_tau(args.tau), args.bound)
+    v = split(fam, set(_parse_vertices(args.m)), _parse_tau(args.tau), canon(args.bound))
     return {"vertex": encode(v)}
 
 
@@ -201,8 +202,7 @@ class CertificateRejected(RadographError):
 
 
 def cmd_export_dot(args):
-    vertices = [decode(x) for x in _parse_ints(args.m)]
-    return {"dot": to_dot(vertices)}
+    return {"dot": to_dot(_parse_vertices(args.m))}
 
 
 # -- driver ----------------------------------------------------------------

@@ -2,19 +2,18 @@
 
 Vertices are naturals; u and v (u < v) are adjacent exactly when bit u of v
 is set. ``realize`` returns the least fresh vertex with a prescribed
-adjacency pattern towards finitely many existing vertices.
+adjacency pattern towards finitely many existing vertices. Every vertex
+argument is canonical (see ``bignat``).
 """
 
 from __future__ import annotations
 
 from . import bignat
-from .bignat import canon, succ, vmax
+from .bignat import succ, vmax
 
 
 def adjacent(u, v):
     """Edge relation: bit min(u,v) of max(u,v). Irreflexive and symmetric."""
-    u = canon(u)
-    v = canon(v)
     if u == v:
         return False
     lo, hi = (u, v) if u < v else (v, u)
@@ -24,26 +23,25 @@ def adjacent(u, v):
 def realize(tau, forbidden=(), lower_bound=0):
     """Least vertex v with v > max(dom(tau) + {lower_bound}), v not forbidden,
     and adjacent(v, w) == tau[w] for every w in dom(tau)."""
-    constraints = {canon(w): (1 if b else 0) for w, b in tau.items()}
-    bad = {canon(f) for f in forbidden}
-    limit = vmax(list(constraints) + [canon(lower_bound)])
+    constraints = {w: (1 if b else 0) for w, b in tau.items()}
+    limit = vmax(list(constraints) + [lower_bound])
     n = succ(limit)
     while True:
         v = bignat.min_with_bits_geq(n, constraints)
-        if v not in bad:
+        if v not in forbidden:
             return v
         n = succ(v)
 
 
 def induced_subgraph(vertices):
     """Adjacency map restricted to the given finite vertex set."""
-    vs = sorted({canon(v) for v in vertices})
+    vs = sorted(set(vertices))
     return {v: [w for w in vs if adjacent(v, w)] for v in vs}
 
 
 def to_dot(vertices, name="radograph"):
     """GraphViz DOT text for the subgraph induced on the given vertices."""
-    vs = sorted({canon(v) for v in vertices})
+    vs = sorted(set(vertices))
     labels = {v: _label(v) for v in vs}
     lines = [f"graph {name} {{"]
     for v in vs:

@@ -47,7 +47,7 @@ class AutomorphismOracle:
         self._next_oid = 0
         self._witness_counter = 1
         self._touch_cursor = 0
-        self._max = canon(0)     # largest vertex stored or touched
+        self._max = 0            # largest vertex stored or touched
 
         if kind == "seeded":
             core = PartialAutomorphism(seed_pairs or ())
@@ -87,7 +87,6 @@ class AutomorphismOracle:
     # -- queries ----------------------------------------------------------
 
     def image(self, v):
-        v = canon(v)
         if self.kind == "identity":
             return v
         if v in self._fwd:
@@ -103,7 +102,6 @@ class AutomorphismOracle:
         return self._extend_image(v)
 
     def preimage(self, v):
-        v = canon(v)
         if self.kind == "identity":
             return v
         if v in self._bwd:
@@ -131,9 +129,6 @@ class AutomorphismOracle:
         self._store(u, v)
         return u
 
-    def restriction_fingerprint(self, m_set):
-        return PartialAutomorphism((m, self.image(m)) for m in m_set)
-
     # -- constructed-oracle machinery ------------------------------------
 
     def _require_constructed(self):
@@ -147,7 +142,6 @@ class AutomorphismOracle:
         return 0
 
     def _touch(self, v):
-        v = canon(v)
         if v in self._orbit_of:
             return self._orbit_of[v]
         oid = self._next_oid
@@ -216,7 +210,6 @@ class AutomorphismOracle:
 
     def orbit_id(self, v):
         self._require_constructed()
-        v = canon(v)
         if v not in self._orbit_of:
             raise UntouchedVertex(f"{v!r} was never touched by this construction")
         return self._orbit_of[v]
@@ -244,7 +237,7 @@ class AutomorphismOracle:
                 raise ConstructionConflict(
                     f"variant {variant} contradicts the orbit edge pattern"
                 )
-        req = {canon(w): 1 if b else 0 for w, b in tau.items()}
+        req = {w: 1 if b else 0 for w, b in tau.items()}
         full = {t: 0 for t in self._orbit_of}
         full.update(req)
         v = realize(full, (), self._max)
@@ -260,8 +253,7 @@ class AutomorphismOracle:
         A and B outside A — past points via tau, future points via a
         persistent prohibition honored by all later extensions."""
         self._require_constructed()
-        a_set = {canon(a) for a in a_set}
-        b_set = {canon(b) for b in b_set}
+        a_set, b_set = set(a_set), set(b_set)
         if a_set & b_set:
             raise ValueError("witness sets must be disjoint")
         oids = set()
@@ -287,9 +279,9 @@ class AutomorphismOracle:
         self._require_constructed()
         self.tasks.append(["develop", rounds])
         for _ in range(rounds):
-            while canon(self._touch_cursor) in self._orbit_of:
+            while self._touch_cursor in self._orbit_of:
                 self._touch_cursor += 1
-            self._touch(canon(self._touch_cursor))
+            self._touch(self._touch_cursor)
             for oid in list(self._chains):
                 self._extend_forward(oid)
                 self._extend_backward(oid)
@@ -429,12 +421,10 @@ class CompactFamily:
         return {h.preimage(v) for h in self.members for v in m_set}
 
     def m_star(self, m_set):
-        m_set = {canon(v) for v in m_set}
-        return m_set | self.family_preimage(m_set)
+        return set(m_set) | self.family_preimage(m_set)
 
     def dK(self, x, y, radius):
         """Exact distance in the orbit graph if <= radius, else math.inf."""
-        x, y = canon(x), canon(y)
         if x == y:
             return 0
         frontier = {x}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .bignat import canon, decode_map, encode_map
+from .bignat import encode_map
 from .errors import CycleDetected, EdgeViolation, NotInjective
 from .graph import adjacent
 
@@ -29,7 +29,6 @@ class PartialAutomorphism:
         self._bwd = {}
         items = pairs.items() if hasattr(pairs, "items") else pairs
         for u, v in items:
-            u, v = canon(u), canon(v)
             if u in self._fwd:
                 raise ValueError(f"duplicate domain vertex {u!r}")
             self._fwd[u] = v
@@ -44,12 +43,6 @@ class PartialAutomorphism:
     def __repr__(self):
         return f"PartialAutomorphism({len(self._fwd)} pairs)"
 
-    def domain(self):
-        return set(self._fwd)
-
-    def range(self):
-        return set(self._fwd.values())
-
     def rd(self):
         """Domain union range."""
         return set(self._fwd) | set(self._fwd.values())
@@ -58,17 +51,7 @@ class PartialAutomorphism:
         return sorted(self._fwd.items())
 
     def apply(self, v, default=UNDEFINED):
-        return self._fwd.get(canon(v), default)
-
-    def inverse_apply(self, v, default=UNDEFINED):
-        v = canon(v)
-        if v not in self._bwd:
-            return default
-        # _bwd may be stale under non-injectivity; resolve honestly
-        u = self._bwd[v]
-        return u if self._fwd.get(u) == v else next(
-            w for w, x in self._fwd.items() if x == v
-        )
+        return self._fwd.get(v, default)
 
     def check(self):
         """Return None if valid, else the violation as an exception instance."""
@@ -84,20 +67,8 @@ class PartialAutomorphism:
                     return EdgeViolation(u, w)
         return None
 
-    def forward_end(self, v):
-        """Follow the map forward from v until it leaves the domain."""
-        v = canon(v)
-        seen = {v}
-        while v in self._fwd:
-            v = self._fwd[v]
-            if v in seen:
-                raise CycleDetected(f"forward chain from {v!r} closes up")
-            seen.add(v)
-        return v
-
     def backward_end(self, v):
         """Follow the map backward from v until it leaves the range."""
-        v = canon(v)
         seen = {v}
         while v in self._bwd:
             v = self._bwd[v]
@@ -144,30 +115,12 @@ class PartialAutomorphism:
         out.sort(key=lambda o: o["vertices"][0])
         return out
 
-    def compose_path(self, other):
-        """self after other, defined where the chain of lookups is."""
-        pairs = []
-        for u, mid in other._fwd.items():
-            if mid in self._fwd:
-                pairs.append((u, self._fwd[mid]))
-        return PartialAutomorphism(pairs)
-
     def restricted(self, vertices):
-        vs = {canon(v) for v in vertices}
+        vs = set(vertices)
         return PartialAutomorphism((u, v) for u, v in self._fwd.items() if u in vs)
-
-    def extended(self, u, v):
-        u, v = canon(u), canon(v)
-        pairs = dict(self._fwd)
-        pairs[u] = v
-        return PartialAutomorphism(pairs)
 
     def inverse(self):
         return PartialAutomorphism((v, u) for u, v in self._fwd.items())
 
     def to_json(self):
         return {"pairs": encode_map(self._fwd)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(decode_map(obj["pairs"]))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .bignat import canon
 from .graph import adjacent, realize
 from .oracle import seeded_oracle
 from .partial import PartialAutomorphism
@@ -53,16 +52,14 @@ def sample(seed, depth, allow_cycles=False):
     bwd = {}
     for step in range(depth):
         if step % 2 == 0:
-            k = 0
-            while canon(k) in fwd:
-                k += 1
-            v = canon(k)
+            v = 0
+            while v in fwd:
+                v += 1
             w = _pick(rng, fwd, v, allow_cycles, forward=True)
         else:
-            k = 0
-            while canon(k) in bwd:
-                k += 1
-            w = canon(k)
+            w = 0
+            while w in bwd:
+                w += 1
             v = _pick(rng, fwd, w, allow_cycles, forward=False)
         fwd[v] = w
         bwd[w] = v
@@ -128,7 +125,7 @@ def report(o, trials, seed=0):
         rate = "not-applicable"
     else:
         rng = random.Random(seed)
-        pool = sorted(core.rd()) or [canon(0), canon(1)]
+        pool = sorted(core.rd()) or [0, 1]
         hits = 0
         for _ in range(trials):
             k = rng.randrange(1, min(4, len(pool)) + 1)

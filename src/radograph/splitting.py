@@ -9,7 +9,7 @@ realizing the requested type plus all collected separation constraints.
 
 from __future__ import annotations
 
-from .bignat import bits_desc, canon, vmax
+from .bignat import bits_desc, vmax
 from .graph import adjacent, realize
 
 
@@ -47,10 +47,9 @@ def split(family, m_set, tau, exclusion_bound):
     """Splitting point for m_set and family realizing tau, above
     exclusion_bound, separating images and preimages of every pair of
     members whose fingerprints on M differ."""
-    m_sorted = sorted({canon(m) for m in m_set})
+    m_sorted = sorted(set(m_set))
     full = {m: 0 for m in m_sorted}
     for w, b in tau.items():
-        w = canon(w)
         if w not in full:
             raise ValueError(f"tau constrains {w!r} outside M")
         full[w] = 1 if b else 0
@@ -69,7 +68,7 @@ def split(family, m_set, tau, exclusion_bound):
             w0p = h.image(w0)
             _add_separation(full, avoid | set(full), w0, hp.preimage(w0p),
                             h.image, hp.image)
-    return realize(full, (), vmax([canon(exclusion_bound)] + m_sorted))
+    return realize(full, (), vmax([exclusion_bound] + m_sorted))
 
 
 def split_far(family, m_set, tau):
@@ -77,9 +76,5 @@ def split_far(family, m_set, tau):
     element of M exceeds 3: the exclusion bound is pushed above everything
     any member has materialized, so the radius-4 ball around the result
     consists of post-hoc fresh vertices only."""
-    bound = vmax(
-        [canon(m) for m in m_set]
-        + [canon(w) for w in tau]
-        + [h._max for h in family]
-    )
+    bound = vmax(list(m_set) + list(tau) + [h._max for h in family])
     return split(family, m_set, tau, bound)

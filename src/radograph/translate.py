@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bignat import canon, decode, decode_map, encode, encode_map
+from .bignat import decode, decode_map, encode, encode_map
 from .errors import (
     CertificateError,
     FiniteOrbitsUnsupported,
@@ -32,14 +32,12 @@ class TranslationResult:
 
     def g_image(self, v):
         """g(v), ingesting v with an extra targeted round if needed."""
-        v = canon(v)
         if v not in self.triple.g:
             _even_round(self.triple, self.trace, v)
             self.steps_run += 1
         return self.triple.g[v]
 
     def g_preimage(self, v):
-        v = canon(v)
         if v not in self.triple.g_inv:
             _even_round(self.triple, self.trace, v)
             self.steps_run += 1
@@ -77,9 +75,9 @@ def _even_round(t, trace, v=None, round_no=0):
     """Ingest one vertex into dom(g) and ran(g), phi first."""
     if v is None:
         k = 0
-        while canon(k) in t.g and canon(k) in t.g_inv:
-            k += 1
-        v = canon(k)
+        v = 0
+        while v in t.g and v in t.g_inv:
+            v += 1
     images = sorted({h.image(v) for h in t.family})
     t.add_to_m({v}, )
     t.add_to_m(images)

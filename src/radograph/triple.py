@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bignat import canon, decode, decode_map, encode, encode_map
+from .bignat import decode, decode_map, encode, encode_map
 from .errors import (
     AlreadyDefined,
     ConstructionConflict,
@@ -88,7 +88,7 @@ class GoodTriple:
 
     def add_to_m(self, vertices):
         """Enlarge the support set; refinement of classes happens lazily."""
-        self.M.update(canon(v) for v in vertices)
+        self.M.update(vertices)
         return self
 
     def m_star(self):
@@ -237,7 +237,6 @@ class GoodTriple:
         """Define phi of cls, one class of the current view classes, at v by
         a fresh-orbit target witness whose adjacency type pre-empts every bad
         and ugly situation. Only cls.phi changes, so the view stays current."""
-        v = canon(v)
         if v not in self.M:
             raise ValueError(f"{v!r} is outside M")
         if v in cls.phi:
@@ -294,7 +293,6 @@ class GoodTriple:
         return self
 
     def extend_phi_all(self, v):
-        v = canon(v)
         classes = self.classes()
         for cls in classes:
             if v not in cls.phi:
@@ -313,7 +311,6 @@ class GoodTriple:
     def extend_domain_g(self, v):
         """Adjoin v to dom(g): the image is a far splitting point v-bar, and
         every phi gains h(v-bar) -> f(phi(v))."""
-        v = canon(v)
         if v in self.g:
             raise AlreadyDefined(f"g already defined at {v!r}")
         classes = self.classes()
@@ -350,7 +347,6 @@ class GoodTriple:
     def extend_range_g(self, v):
         """Adjoin v to ran(g): the preimage is a far splitting point, and
         every phi gains v-bar -> f^{-1}(phi(h(v)))."""
-        v = canon(v)
         if v not in self.M:
             raise ValueError(f"{v!r} is outside M")
         if v in self.g_inv:
@@ -384,7 +380,6 @@ class GoodTriple:
     def extend_phi_range(self, z):
         """Make z's target orbit meet the phi-range of every class, via
         mutually far splitting points."""
-        z = canon(z)
         zoid = self.target.orbit_id(z)
         fresh = []
         for c in self.classes():

@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from radograph.cli import main, parse_oracle_spec
-from radograph.oracle import CompactFamily, build_c0, identity_oracle, seeded_oracle
-from radograph.translate import truss_factor
+from radograph.oracle import CompactFamily, build_c0, identity_oracle, replay, seeded_oracle
+from radograph.translate import translate, truss_factor
 from radograph.triple import init
 
 
@@ -185,3 +187,49 @@ def test_pretty_output_is_not_json(capsys):
     rc, out = run(capsys, "--pretty", "adj", "0", "1")
     assert rc == 0
     assert "adjacent: True" in out
+
+
+def test_adj_negative_vertex_is_domain_error(capsys):
+    rc, data = run_json(capsys, "adj", "--", "-1", "2")
+    assert rc == 1 and data == {"error": "vertices are naturals"}
+
+
+N = (1 << 5000) + (1 << 7)  # parsed to a Big where the CLI reads it
+
+
+def test_adj_oversized_vertex(capsys):
+    rc, data = run_json(capsys, "adj", "7", str(N))
+    assert rc == 0 and data == {"adjacent": True}
+
+
+def test_realize_oversized_bound(capsys):
+    rc, data = run_json(capsys, "realize", "--tau", "7:1", "--bound", str(N))
+    assert rc == 0 and data == {"vertex": {"^": [5000, 7, 0]}}
+
+
+def test_replay_rejects_negative_seed():
+    log = build_c0(seed=0).to_json()
+    log["seed"] = -1
+    with pytest.raises(ValueError, match="naturals"):
+        replay(log)
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0] for line in block.splitlines()
+            if line.startswith("radograph ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fam = CompactFamily([identity_oracle(), seeded_oracle({2: 3})])
+    snap = translate(fam, build_c0(seed=0), 4).triple.to_snapshot()
+    (tmp_path / "snap.json").write_text(json.dumps(snap))
+    _, certs = truss_factor(seeded_oracle({0: 2}), 6)
+    (tmp_path / "cert.json").write_text(json.dumps(certs[-1]))
+    lines = _readme_cli_lines()
+    assert len(lines) >= 12
+    for line in lines:
+        rc, out = run(capsys, *shlex.split(line)[1:])
+        assert rc == 0, (line, out)

@@ -1,13 +1,19 @@
 import copy
+import importlib
 import pickle
+import pkgutil
 import random
 from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import radograph
 from radograph import adjacent, realize, induced_subgraph, to_dot
-from radograph import bignat
+from radograph import bignat, graph
+from radograph.oracle import CompactFamily, build_c0, identity_oracle, seeded_oracle
+from radograph.sampler import report, sample
+from radograph.translate import translate, truss_factor, verify
 from radograph.bignat import (
     Big,
     canon,
@@ -244,3 +250,44 @@ def test_to_dot_mentions_edges():
 def test_negative_vertex_rejected():
     with pytest.raises(ValueError):
         adjacent(-1, 2)
+
+
+def _canon_and_adjacent_calls(monkeypatch, run):
+    """Calls of bignat.canon and graph.adjacent made by run(), counted in
+    every radograph module that binds either name."""
+    modules = [radograph] + [importlib.import_module(f"radograph.{m.name}")
+                             for m in pkgutil.iter_modules(radograph.__path__)]
+    calls = {"canon": 0, "adjacent": 0}
+    for name, inner in (("canon", bignat.canon), ("adjacent", graph.adjacent)):
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        for m in modules:
+            if getattr(m, name, None) is inner:
+                monkeypatch.setattr(m, name, counted)
+    run()
+    assert calls["adjacent"] > 0
+    return calls
+
+
+def test_translate_canonicalizes_at_the_boundary(monkeypatch):
+    # vertices are canonical inside the package, so canon runs only where
+    # values enter (decode, succ's int step, mixed compares, constructors)
+    def run():
+        fam = CompactFamily([identity_oracle(), seeded_oracle({2: 3})])
+        translate(fam, build_c0(seed=0), 6)
+        _, certs = truss_factor(seeded_oracle({0: 2}), 6)
+        assert all(verify(c)["ok"] for c in certs)
+
+    calls = _canon_and_adjacent_calls(monkeypatch, run)
+    assert calls["canon"] * 10 <= calls["adjacent"]
+
+
+def test_sample_canonicalizes_at_the_boundary(monkeypatch):
+    def run():
+        for s in range(4):
+            report(sample(s, 8), 10, seed=s)
+
+    calls = _canon_and_adjacent_calls(monkeypatch, run)
+    assert calls["canon"] < calls["adjacent"]
