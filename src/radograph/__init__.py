@@ -1,7 +1,7 @@
 """Lazy constructions around automorphisms of the countable random graph."""
 
 from .graph import adjacent, realize, induced_subgraph, to_dot
-from .partial import PartialAutomorphism, UNDEFINED
+from .partial import PartialAutomorphism
 
 __all__ = [
     "adjacent",
@@ -9,5 +9,4 @@ __all__ = [
     "induced_subgraph",
     "to_dot",
     "PartialAutomorphism",
-    "UNDEFINED",
 ]

@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .bignat import encode_map
 from .errors import CycleDetected, EdgeViolation, NotInjective
 from .graph import adjacent
-
-
-class _Undefined:
-    def __repr__(self):
-        return "UNDEFINED"
-
-    def __bool__(self):
-        return False
-
-
-UNDEFINED = _Undefined()
 
 
 class PartialAutomorphism:
@@ -50,20 +41,28 @@ class PartialAutomorphism:
     def pairs(self):
         return sorted(self._fwd.items())
 
-    def apply(self, v, default=UNDEFINED):
-        return self._fwd.get(v, default)
+    def check(self, known=None):
+        """Return None if valid, else the violation as an exception instance.
 
-    def check(self):
-        """Return None if valid, else the violation as an exception instance."""
-        seen = {}
-        for u, v in self._fwd.items():
+        known, if given, is a map already known to be a partial automorphism.
+        The pairs this map shares with it are trusted, so only the other
+        pairs are tested, each against every pair; any sub-map of a valid map
+        is valid, so the result is exact. Without known every pair is new.
+        """
+        fwd = self._fwd
+        known = known or {}
+        new, old = [], []
+        for u, v in fwd.items():
+            (old if u in known and known[u] == v else new).append(u)
+        seen = {fwd[u]: u for u in old}
+        for u in new:
+            v = fwd[u]
             if v in seen:
                 return NotInjective(f"{seen[v]!r} and {u!r} both map to {v!r}")
             seen[v] = u
-        dom = list(self._fwd)
-        for i, u in enumerate(dom):
-            for w in dom[i + 1:]:
-                if adjacent(u, w) != adjacent(self._fwd[u], self._fwd[w]):
+        for i, u in enumerate(new):
+            for w in chain(old, new[i + 1:]):
+                if adjacent(u, w) != adjacent(fwd[u], fwd[w]):
                     return EdgeViolation(u, w)
         return None
 
@@ -114,13 +113,6 @@ class PartialAutomorphism:
             out.append({"kind": "path", "vertices": path})
         out.sort(key=lambda o: o["vertices"][0])
         return out
-
-    def restricted(self, vertices):
-        vs = set(vertices)
-        return PartialAutomorphism((u, v) for u, v in self._fwd.items() if u in vs)
-
-    def inverse(self):
-        return PartialAutomorphism((v, u) for u, v in self._fwd.items())
 
     def to_json(self):
         return {"pairs": encode_map(self._fwd)}

@@ -3,8 +3,10 @@ back-and-forth conjugator, and factorization certificates.
 
 Odd rounds pull one more target orbit into every phi-range; even rounds
 ingest the least natural into both dom(g) and ran(g). Every extension step
-is followed by the full ten-condition check, and everything is logged to a
-trace so the schedule promises can be audited afterwards.
+is followed by the ten-condition check, which re-tests condition (i) only
+for the pairs the step added and derives the class views once per state;
+everything is logged to a trace so the schedule promises can be audited
+afterwards.
 """
 
 from __future__ import annotations

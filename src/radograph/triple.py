@@ -6,6 +6,10 @@ over M* = M u K^{-1}(M), and the support set M. The ten structural
 conditions are decidable on this finite data; the four extension operations
 grow the triple while keeping all ten conditions intact. phi is shared per
 fingerprint class: members that agree on M* always hold the same dict.
+
+check() pays only for what changed since its last result: condition (i)
+re-tests only the pairs of g and phi that are new since they last passed,
+and the class views are derived once per state of M, g and the phi slots.
 """
 
 from __future__ import annotations
@@ -83,6 +87,21 @@ class GoodTriple:
         self.M = set()
         shared = {}
         self._phi = [shared for _ in family.members]
+        self._reset_caches()
+
+    def _reset_caches(self):
+        """Start both caches empty, so that the next check() is the full one.
+
+        _g_known and _phi_known hold, for this triple only, a copy of g and of
+        each member's phi as of the last check() in which that map passed (i),
+        refreshed by each such pass and trusted only on the pairs the live map
+        still shares with it, one dict per slot. _views holds the class views
+        of this triple's last derived state, replaced as soon as M, g or the
+        identity of a phi slot differs from its key, one view list.
+        """
+        self._g_known = {}
+        self._phi_known = [{} for _ in self._phi]
+        self._views = None
 
     # -- structure --------------------------------------------------------
 
@@ -95,6 +114,9 @@ class GoodTriple:
         return sorted(self.family.m_star(self.M))
 
     def classes(self):
+        """The class views of the current state, derived once per state."""
+        if self._views is not None and self._views[0] == self._state_key():
+            return self._views[1]
         mstar = self.m_star()
         groups = {}
         for i, h in enumerate(self.family.members):
@@ -114,18 +136,45 @@ class GoodTriple:
             hg = {w: hmap[vb] for w, vb in self.g.items() if vb in hmap}
             out.append(ClassView(key, idxs, ph, hmap, {v: m for m, v in hmap.items()},
                                  hg, set(hg.values())))
+        # keyed after re-sharing: with the same slot identities no two members
+        # of one class can hold different dicts, so (vi) cannot newly fail;
+        # the views hold every slot's dict, so no id in the key is reused
+        self._views = (self._state_key(), out)
         return out
+
+    def _state_key(self):
+        return (frozenset(self.M), frozenset(self.g.items()), tuple(map(id, self._phi)))
 
     # -- detectors --------------------------------------------------------
 
     def find_bad(self, classes):
         out = []
         f = self.target
+        images = {}
+
+        def image(v):
+            w = images.get(v)
+            if w is None:
+                w = images[v] = f.image(v)
+            return w
+
         for c in classes:
+            lhs_of = {}  # (x, y) -> adjacent(phi(x), f(phi(y))), for class c
             for c2 in classes:
                 for x in c.phi:
                     if x in c.ran or x not in c.hinv:
                         continue
+                    if c2 is c:
+                        # x' = x, so both sides are one test and nothing here
+                        # is bad. The f-images are still taken, in the same
+                        # order: a query miss builds a target point that later
+                        # witnesses depend on, so dropping these calls would
+                        # change the artefacts and must come as a declared
+                        # format change of its own.
+                        for y in c.phi:
+                            if y not in self.g:
+                                image(c.phi[y])
+                        break
                     u = c.hinv[x]
                     xp = c2.hmap.get(u)
                     if xp is None or xp not in c2.phi or xp in c2.ran:
@@ -133,8 +182,10 @@ class GoodTriple:
                     for y in c.phi:
                         if y in self.g or y not in c2.phi:
                             continue
-                        lhs = adjacent(c.phi[x], f.image(c.phi[y]))
-                        rhs = adjacent(c2.phi[xp], f.image(c2.phi[y]))
+                        lhs = lhs_of.get((x, y))
+                        if lhs is None:
+                            lhs = lhs_of[x, y] = adjacent(c.phi[x], image(c.phi[y]))
+                        rhs = adjacent(c2.phi[xp], image(c2.phi[y]))
                         if lhs != rhs:
                             out.append(
                                 BadSituation(c.indices[0], c2.indices[0], x, xp, y)
@@ -161,23 +212,33 @@ class GoodTriple:
     # -- the ten-condition checker ----------------------------------------
 
     def check(self):
-        """{"ok": True} or {"ok": False, "condition": name, "witness": data}."""
+        """{"ok": True} or {"ok": False, "condition": name, "witness": data}.
+
+        Condition (i) re-tests only the pairs of g and of each phi that are
+        new since that map last passed it, against all pairs; the class views
+        are derived once per state. A triple from __init__ or from_snapshot
+        starts with empty caches, so its first check() is the full one.
+        """
         f = self.target
 
         def fail(cond, witness):
             return {"ok": False, "condition": cond, "witness": witness}
 
-        err = PartialAutomorphism(self.g).check()
+        err = PartialAutomorphism(self.g).check(self._g_known)
         if err is not None:
             return fail("(i)", repr(err))
+        self._g_known = dict(self.g)
         try:
             classes = self.classes()
         except ImplementationFault as e:
             return fail("(vi)", str(e))
         for c in classes:
-            err = PartialAutomorphism(c.phi).check()
+            err = PartialAutomorphism(c.phi).check(self._phi_known[c.indices[0]])
             if err is not None:
                 return fail("(i)", repr(err))
+            known = dict(c.phi)
+            for i in c.indices:
+                self._phi_known[i] = known
 
         rd_g = set(self.g) | set(self.g.values())
         if not rd_g <= self.M:
@@ -329,8 +390,7 @@ class GoodTriple:
                     (c.hinv[u], 1 if adjacent(pu, fz) else 0, "phi-pullback")
                 )
         tau = self._merge_tau(entries)
-        mstar = set(self.m_star())
-        vbar = split_far(self.family, mstar, tau)
+        vbar = split_far(self.family, self.family.m_star(self.M), tau)
         self.g[v] = vbar
         self.g_inv[vbar] = v
         self.M.add(vbar)
@@ -364,8 +424,7 @@ class GoodTriple:
             for u, pu in c.phi.items():
                 entries.append((u, 1 if adjacent(pu, fz) else 0, "phi-direct"))
         tau = self._merge_tau(entries)
-        mstar = set(self.m_star())
-        vbar = split_far(self.family, mstar, tau)
+        vbar = split_far(self.family, self.family.m_star(self.M), tau)
         self.g[vbar] = v
         self.g_inv[v] = vbar
         self.M.add(vbar)
@@ -386,7 +445,7 @@ class GoodTriple:
             if any(self.target.orbit_id(pv) == zoid for pv in c.phi.values()):
                 continue
             tau = {w: (1 if adjacent(pw, z) else 0) for w, pw in c.phi.items()}
-            m_set = set(self.m_star()) | set(fresh)
+            m_set = self.family.m_star(self.M) | set(fresh)
             v_c = split_far(self.family, m_set, tau)
             c.phi[v_c] = z
             self.M.add(v_c)
@@ -432,6 +491,7 @@ class GoodTriple:
             if key not in cache:
                 cache[key] = dict(by_key[key])
             t._phi.append(cache[key])
+        t._reset_caches()
         return t
 
 

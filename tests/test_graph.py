@@ -280,8 +280,11 @@ def test_translate_canonicalizes_at_the_boundary(monkeypatch):
         _, certs = truss_factor(seeded_oracle({0: 2}), 6)
         assert all(verify(c)["ok"] for c in certs)
 
+    # a fixed ceiling for this fixed run, not a share of adjacent calls, which
+    # fall whenever check() does less work: 670 calls here, about 10 000 with
+    # canon back in adjacent, and 45 374 before canonicalizing at the boundary
     calls = _canon_and_adjacent_calls(monkeypatch, run)
-    assert calls["canon"] * 10 <= calls["adjacent"]
+    assert calls["canon"] <= 1_000
 
 
 def test_sample_canonicalizes_at_the_boundary(monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radograph import adjacent, PartialAutomorphism, UNDEFINED
+from radograph import adjacent, PartialAutomorphism
 from radograph.errors import CycleDetected, EdgeViolation, NotInjective
 
 
@@ -20,12 +20,9 @@ def test_check_valid_identity():
     assert PartialAutomorphism({v: v for v in range(10)}).check() is None
 
 
-def test_apply_and_inverse():
-    p = PartialAutomorphism({0: 1, 1: 0})
-    assert p.apply(0) == 1
-    assert p.inverse().apply(0) == 1
-    assert p.apply(5) is UNDEFINED
-    assert p.rd() == {0, 1}
+def test_rd_is_domain_union_range():
+    assert PartialAutomorphism({0: 1, 1: 0}).rd() == {0, 1}
+    assert PartialAutomorphism({0: 5, 5: 9}).rd() == {0, 5, 9}
 
 
 def test_duplicate_domain_rejected():
@@ -61,20 +58,50 @@ def test_json_roundtrip_sorted():
     assert obj == {"pairs": [[0, 5], [9, 1]]}
 
 
-@given(st.dictionaries(st.integers(0, 30), st.integers(0, 30), max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_check_agrees_with_direct_quantifiers(m):
-    p = PartialAutomorphism(m)
-    err = p.check()
+def _valid(m):
     injective = len(set(m.values())) == len(m)
-    edges_ok = all(
+    return injective and all(
         adjacent(u, w) == adjacent(m[u], m[w]) for u in m for w in m if u != w
     )
-    assert (err is None) == (injective and edges_ok)
 
 
-def test_inverse_and_restrict():
-    p = PartialAutomorphism({0: 5, 1: 9})
-    assert p.inverse().apply(5) == 0
-    q = p.restricted([0])
-    assert q.pairs() == [(0, 5)]
+def _valid_sub_map(m, keys):
+    """The pairs of m at keys, in order, each kept if the result stays valid."""
+    known = {}
+    for u in keys:
+        if u in m and _valid({**known, u: m[u]}):
+            known[u] = m[u]
+    return known
+
+
+MAPS = st.dictionaries(st.integers(0, 30), st.integers(0, 30), max_size=8)
+
+
+@given(MAPS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_check_agrees_with_direct_quantifiers(m, data):
+    p = PartialAutomorphism(m)
+    assert (p.check() is None) == _valid(m)
+    keys = data.draw(st.lists(st.sampled_from(sorted(m)), unique=True) if m
+                     else st.just([]))
+    assert (p.check(_valid_sub_map(m, keys)) is None) == _valid(m)
+
+
+@given(MAPS, MAPS)
+@settings(max_examples=200, deadline=None)
+def test_check_trusts_only_pairs_shared_with_known(m, other):
+    # known is valid but need not be a sub-map: a value it holds may have
+    # been overwritten since, and such a pair is tested again
+    known = _valid_sub_map(other, list(other))
+    assert (PartialAutomorphism(m).check(known) is None) == _valid(m)
+
+
+def test_check_with_known_tests_new_pairs():
+    known = {0: 0, 1: 1}
+    assert PartialAutomorphism({0: 0, 1: 1, 2: 2}).check(known) is None
+    err = PartialAutomorphism({0: 0, 1: 1, 2: 1}).check(known)
+    assert isinstance(err, NotInjective)
+    err = PartialAutomorphism({0: 0, 1: 1, 4: 6}).check(known)
+    assert isinstance(err, EdgeViolation)
+    # an overwritten known value is no longer trusted
+    assert isinstance(PartialAutomorphism({0: 1, 1: 1}).check(known), NotInjective)

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 
 import pytest
 
@@ -18,6 +20,7 @@ from radograph.translate import (
     truss_factor,
     verify,
 )
+from radograph.triple import GoodTriple
 
 SWAP = {0: 1, 1: 0}
 
@@ -88,9 +91,54 @@ def test_g_image_triggers_extra_round():
     assert res.triple.check() == {"ok": True}
 
 
-def test_translate_to_json_roundtrips_through_plain_data():
-    import json
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
+
+def test_translate_artefacts_are_pinned():
+    # any drift in what the construction builds, or in the order it builds
+    # target points, changes these digests
+    res = translate(small_family(), build_c0(seed=0), 6)
+    _, certs = truss_factor(seeded_oracle({2: 3}), 6)
+    assert _sha256(res.to_json()) == (
+        "3ca5fdb4376c02f69c1da3a7ee2764e58dac4a3334b9139cc68aeb0d45047b8c")
+    assert _sha256(res.triple.to_snapshot()) == (
+        "46284d19cccbc4d9393e2b81d71a995c62fb43185859dcdbf44eb98138cbded0")
+    assert _sha256(certs) == (
+        "d28e03ec640b932ec376fb914c6cf4bdd95bf5760bf2b028b40ef27b70ff24a3")
+
+
+def test_cached_check_agrees_with_full_check(monkeypatch):
+    # after every step, the incremental check() must give the same report as
+    # a full check of the same state, and the full check must query no oracle
+    # point that the incremental one left unbuilt
+    cached_check = GoodTriple.check
+    reports = []
+
+    def differential(t):
+        rep = cached_check(t)
+        oracles = [t.target, *t.family]
+        logged = [len(o.tasks) for o in oracles]
+        twin = copy.copy(t)
+        twin._phi = list(t._phi)
+        twin._reset_caches()
+        assert cached_check(twin) == rep
+        assert [len(o.tasks) for o in oracles] == logged
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(GoodTriple, "check", differential)
+    translate(small_family(), build_c0(seed=0), 6)
+    three = CompactFamily([identity_oracle(), seeded_oracle({2: 3}),
+                           seeded_oracle({0: 2})])
+    translate(three, build_c0(seed=0), 6)
+    _, certs = truss_factor(seeded_oracle({0: 2}), 6)
+    assert all(verify(c)["ok"] for c in certs)
+    assert len(reports) > 60
+    assert all(rep["ok"] for rep in reports)
+
+
+def test_translate_to_json_roundtrips_through_plain_data():
     res = translate(small_family(), build_c0(seed=0), 4)
     blob = json.dumps(res.to_json())
     data = json.loads(blob)

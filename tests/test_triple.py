@@ -189,6 +189,39 @@ def test_planted_bad_situation_found():
     assert rep["ok"] is False
 
 
+def test_overwritten_phi_value_fails_i():
+    # check() trusts a phi pair only while the live map still holds it, so an
+    # overwrite after a green check is tested again
+    t = grown()
+    assert t.check() == {"ok": True}
+    c = t.classes()[0]
+    a, b = list(c.phi)[:2]
+    c.phi[a] = c.phi[b]
+    rep = t.check()
+    assert rep["ok"] is False
+    assert rep["condition"] == "(i)"
+
+
+def test_overwritten_g_value_fails_i():
+    t = grown()
+    assert t.check() == {"ok": True}
+    a, b = list(t.g)[:2]
+    t.g[a] = t.g[b]
+    rep = t.check()
+    assert rep["ok"] is False
+    assert rep["condition"] == "(i)"
+
+
+def test_unshared_phi_in_one_class_fails_vi_after_green_check():
+    t = fresh()
+    assert t.check() == {"ok": True}
+    assert len(t.classes()) == 1  # M is empty, so every member agrees on M*
+    t._phi[1] = {0: 5}
+    rep = t.check()
+    assert rep["ok"] is False
+    assert rep["condition"] == "(vi)"
+
+
 def test_snapshot_roundtrip():
     t = grown()
     snap = t.to_snapshot()
