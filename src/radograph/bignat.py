@@ -16,15 +16,19 @@ so never hold more entries than there are live ``Big`` values.
 Every vertex passed inside ``radograph`` is canonical: an ``int`` of at
 most ``INT_BIT_LIMIT`` bits, else a ``Big``. ``canon`` establishes this once,
 where a value enters: in this module (``canon``, ``decode``, ``succ``'s int
-step, ``nat_cmp``'s mixed compare), in the CLI's integer arguments, and in the
-oracle constructors (the ``build_fp``/``build_c0`` seed and the
+step, ``nat_cmp``'s raw-int compare), in the CLI's integer arguments, and in
+the oracle constructors (the ``build_fp``/``build_c0`` seed and the
 ``seeded_oracle`` pairs), which ``replay`` reaches with raw JSON seeds. No
 other function re-checks its arguments.
 
 Naturals compare with Python's own operators: ``<``, ``sorted``, ``min`` and
 ``max`` order any mix of canonical ints and ``Big`` values (an int on the
-left defers to the reflected ``Big`` method). A label is read at compare
-time and may change when the list is relabelled, so no sort key is cached.
+left defers to the reflected ``Big`` method). Two ``Big`` values compare by
+label; a ``Big`` against a canonical int is answered inline, since every
+``Big`` is above every canonical int. Only a raw int wider than
+``INT_BIT_LIMIT``, which the contract keeps out of the package, still goes
+through ``nat_cmp``. A label is read at compare time and may change when the
+list is relabelled, so no sort key is cached.
 
 Only the operations the graph model needs are provided: total order,
 successor, bit tests, and the minimal value >= N whose bits agree with a
@@ -136,24 +140,34 @@ class Big:
             return other.bit_length() > INT_BIT_LIMIT and canon(other) is self
         return NotImplemented
 
+    # A canonical int is below every Big, so it is answered inline; only a
+    # raw oversized int (or a non-natural) goes on to nat_cmp.
     def __lt__(self, other):
         if isinstance(other, Big):
             return self._label < other._label
+        if isinstance(other, int) and other.bit_length() <= INT_BIT_LIMIT:
+            return False
         return nat_cmp(self, other) < 0
 
     def __le__(self, other):
         if isinstance(other, Big):
             return self._label <= other._label
+        if isinstance(other, int) and other.bit_length() <= INT_BIT_LIMIT:
+            return False
         return nat_cmp(self, other) <= 0
 
     def __gt__(self, other):
         if isinstance(other, Big):
             return self._label > other._label
+        if isinstance(other, int) and other.bit_length() <= INT_BIT_LIMIT:
+            return True
         return nat_cmp(self, other) > 0
 
     def __ge__(self, other):
         if isinstance(other, Big):
             return self._label >= other._label
+        if isinstance(other, int) and other.bit_length() <= INT_BIT_LIMIT:
+            return True
         return nat_cmp(self, other) >= 0
 
     def __repr__(self):
@@ -175,15 +189,23 @@ def canon(x):
             raise ValueError("vertices are naturals")
         if x.bit_length() <= INT_BIT_LIMIT:
             return x
-        return Big(tuple(p for p in range(x.bit_length() - 1, -1, -1) if (x >> p) & 1))
+        return Big(tuple(bits_desc(x)))
     raise TypeError(f"not a natural: {x!r}")
 
 
 def bits_desc(x):
-    """Set bit positions of x, descending."""
+    """Set bit positions of x, descending. For an int, one scan of its binary
+    digits finds each set bit in turn, so the cost is linear in its length."""
     if isinstance(x, Big):
         return list(x.bits)
-    return [p for p in range(x.bit_length() - 1, -1, -1) if (x >> p) & 1]
+    digits = bin(x)  # "0b1...": the digit at index i is bit len(digits) - 1 - i
+    top = len(digits) - 1
+    out = []
+    i = digits.find("1", 2)
+    while i >= 0:
+        out.append(top - i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def nat_cmp(a, b):
@@ -244,33 +266,41 @@ def vmax(values):
 def min_with_bits_geq(n, constraints):
     """Least natural X >= n with X's bit at p equal to constraints[p] for all p.
 
-    constraints maps canonical positions to 0/1. Walks the relevant bit
-    positions from the top, staying tight with n until a constraint forces the
-    value above or below n; in the latter case the lowest free position above
-    the failure is bumped.
+    constraints maps canonical positions to 0/1. Only the highest position p
+    where a constraint disagrees with n decides, and one pass over the
+    constraints finds it; with none, X is n. Above the decisive position X
+    copies n's bits. If the constraint wants a 1 at p, X is n's bits above p,
+    then p, then the wanted ones below p. If it wants a 0, every value that
+    copies n above p is below n, so X sets the lowest free zero q above p
+    (neither constrained nor set in n) and takes n's bits above q, then q,
+    then the wanted ones below q. n's bits are listed only when X keeps some.
     """
-    nbits = set(bits_desc(n))
-    pool = set(constraints) | nbits
-    for p in sorted(pool, reverse=True):
-        in_n = p in nbits
-        if p not in constraints:
-            continue  # free position, copy n's bit
-        want = constraints[p]
-        if want == (1 if in_n else 0):
-            continue
-        if want == 1:
-            # forced above n at p: keep n's bits above p, set p, minimal below
-            high = [q for q in nbits if q > p]
-            low = [q for q, b in constraints.items() if b == 1 and q < p]
-            return from_bits(high + [p] + low)
-        # want == 0 while n has 1 at p: fell below n, bump a free zero above p
-        q = succ(p)
-        while q in constraints or q in nbits:
-            q = succ(q)
-        high = [r for r in nbits if r > q]
-        low = [r for r, b in constraints.items() if b == 1 and r < q]
-        return from_bits(high + [q] + low)
-    return from_bits(nbits)
+    top = None
+    for p, b in constraints.items():
+        if b != bit_test(n, p) and (top is None or p > top):
+            top = p
+    if top is None:
+        return n
+    if constraints[top] == 0:
+        top = succ(top)
+        while top in constraints or bit_test(n, top):
+            top = succ(top)
+    low = [r for r, b in constraints.items() if b == 1 and r < top]
+    return from_bits(_bits_above(n, top) + [top] + low)
+
+
+def _bits_above(n, p):
+    """Set bit positions of n above position p, descending."""
+    if isinstance(n, Big):
+        high = []
+        for q in n.bits:
+            if not q > p:
+                break
+            high.append(q)
+        return high
+    if p >= n.bit_length():  # also when p is a Big
+        return []
+    return bits_desc(n >> (p + 1) << (p + 1))
 
 
 def encode(v):

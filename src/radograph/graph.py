@@ -9,15 +9,27 @@ argument is canonical (see ``bignat``).
 from __future__ import annotations
 
 from . import bignat
-from .bignat import succ, vmax
+from .bignat import Big, succ, vmax
 
 
 def adjacent(u, v):
-    """Edge relation: bit min(u,v) of max(u,v). Irreflexive and symmetric."""
-    if u == v:
+    """Edge relation: bit min(u,v) of max(u,v). Irreflexive and symmetric.
+
+    One dispatch on the representations: a canonical int is below every
+    Big, so only two ints or two Bigs need ordering."""
+    if isinstance(u, Big):
+        if isinstance(v, Big):
+            if u is v:
+                return False
+            return v in u.bitset if u._label > v._label else u in v.bitset
+        return v in u.bitset
+    if isinstance(v, Big):
+        return u in v.bitset
+    if u > v:
+        u, v = v, u
+    elif u == v:
         return False
-    lo, hi = (u, v) if u < v else (v, u)
-    return bignat.bit_test(hi, lo)
+    return u < v.bit_length() and (v >> u) & 1 == 1
 
 
 def realize(tau, forbidden=(), lower_bound=0):

@@ -16,6 +16,8 @@ from radograph.sampler import report, sample
 from radograph.translate import translate, truss_factor, verify
 from radograph.bignat import (
     Big,
+    bit_test,
+    bits_desc,
     canon,
     encode,
     decode,
@@ -103,6 +105,119 @@ def test_min_with_bits_matches_scan(n, cons):
     assert got == v
 
 
+def shift_bits_desc(x):
+    """Reference for bits_desc on an int: test every position by a shift."""
+    return [p for p in range(x.bit_length() - 1, -1, -1) if (x >> p) & 1]
+
+
+def sorted_pool_min_with_bits(n, constraints):
+    """Reference for min_with_bits_geq: the walk over the whole sorted pool
+    of constrained positions and n's bits that it replaced."""
+    nbits = set(n.bits) if isinstance(n, Big) else set(shift_bits_desc(n))
+    pool = set(constraints) | nbits
+    for p in sorted(pool, reverse=True):
+        in_n = p in nbits
+        if p not in constraints:
+            continue
+        want = constraints[p]
+        if want == (1 if in_n else 0):
+            continue
+        if want == 1:
+            high = [q for q in nbits if q > p]
+            low = [q for q, b in constraints.items() if b == 1 and q < p]
+            return from_bits(high + [p] + low)
+        q = succ(p)
+        while q in constraints or q in nbits:
+            q = succ(q)
+        high = [r for r in nbits if r > q]
+        low = [r for r, b in constraints.items() if b == 1 and r < q]
+        return from_bits(high + [q] + low)
+    return from_bits(nbits)
+
+
+# canonical naturals of every kind the kernel dispatches on: small ints, int
+# positions next to INT_BIT_LIMIT (a result with one of them at or above the
+# limit is a Big), ints of 4095 and 4096 bits, Bigs, and Bigs whose
+# positions are Bigs
+_int_positions = st.integers(0, 40) | st.integers(INT_BIT_LIMIT - 4, INT_BIT_LIMIT + 4)
+_bigs = st.builds(lambda top, rest: from_bits([top] + rest),
+                  st.integers(INT_BIT_LIMIT, INT_BIT_LIMIT + 8) | st.just(10 ** 10),
+                  st.lists(_int_positions, max_size=4))
+_nested_bigs = st.builds(lambda top, rest: from_bits([top] + rest),
+                         _bigs, st.lists(_int_positions | _bigs, max_size=3))
+_positions = _int_positions | _bigs | _nested_bigs
+_wide_ints = (st.integers(1 << (INT_BIT_LIMIT - 2), (1 << INT_BIT_LIMIT) - 1)
+              | st.builds(lambda low: (1 << (INT_BIT_LIMIT - 1)) | low, st.integers(0, 1 << 40)))
+_naturals = st.integers(0, 1 << 16) | _wide_ints | _bigs | _nested_bigs
+
+
+@given(
+    n=_naturals,
+    cons=st.dictionaries(_positions, st.integers(0, 1), max_size=8),
+    own=st.lists(st.booleans(), max_size=8),
+)
+@settings(max_examples=500, deadline=None)
+def test_min_with_bits_matches_sorted_pool(n, cons, own):
+    # constraints on n's own top bits: the pool walk then passes positions
+    # that agree with n before it reaches the decisive one
+    for p, b in zip(bits_desc(n), own):
+        cons.setdefault(p, int(b))
+    got = min_with_bits_geq(n, cons)
+    want = sorted_pool_min_with_bits(n, cons)
+    assert type(got) is type(want)
+    if isinstance(want, Big):
+        assert got is want
+    else:
+        assert got == want
+    assert got >= n
+    assert all(bit_test(got, p) == bool(b) for p, b in cons.items())
+
+
+def _reference_adjacent(u, v):
+    return u != v and bit_test(max(u, v), min(u, v))
+
+
+@given(u=_naturals | _positions, v=_naturals | _positions, own=st.integers(0, 3))
+@settings(max_examples=400, deadline=None)
+def test_adjacent_matches_bit_test(u, v, own):
+    # own == 0 makes u one of v's bits, so both answers occur
+    if own == 0:
+        v = from_bits([u] + bits_desc(v))
+    assert adjacent(u, v) is _reference_adjacent(u, v)
+    assert adjacent(v, u) is adjacent(u, v)
+    assert adjacent(u, u) is False and adjacent(v, v) is False
+
+
+def test_adjacent_at_the_int_big_boundary():
+    wide = (1 << INT_BIT_LIMIT) - 1  # 4096 bits, the widest int
+    narrow = (1 << (INT_BIT_LIMIT - 1)) | (1 << 7)  # 4095 bits
+    edge = canon(1 << INT_BIT_LIMIT)  # the least Big
+    deep = from_bits([from_bits([edge, 3]), INT_BIT_LIMIT - 1, 7, 0])
+    cases = [
+        (7, narrow, True), (8, narrow, False), (INT_BIT_LIMIT - 1, wide, True),
+        (INT_BIT_LIMIT, wide, False), (narrow, wide, False), (wide, edge, False),
+        (INT_BIT_LIMIT, edge, True), (edge, deep, False), (7, deep, True),
+        (from_bits([edge, 3]), deep, True), (edge, edge, False),
+        (deep, deep, False), (wide, wide, False),
+    ]
+    for u, v, want in cases:
+        assert adjacent(u, v) is want, (u, v)
+        assert adjacent(v, u) is want, (v, u)
+        assert _reference_adjacent(u, v) is want, (u, v)
+
+
+def test_bits_desc_matches_shift_definition():
+    rng = random.Random(5)
+    values = [0, 1, 1 << 4095, (1 << 4096) + 5, (1 << INT_BIT_LIMIT) - 1]
+    values += [rng.getrandbits(w) for w in (1, 2, 7, 63, 64, 65, 1000, 4096, 5000)]
+    values += [rng.getrandbits(w) & rng.getrandbits(w) & rng.getrandbits(w)
+               for w in rng.sample(range(1, 6000), 20)]
+    for x in values:
+        assert bits_desc(x) == shift_bits_desc(x), x.bit_length()
+        if x.bit_length() > INT_BIT_LIMIT:
+            assert canon(x).bits == tuple(shift_bits_desc(x))
+
+
 def test_realize_fresh_above_everything():
     v = realize({3: 1, 7: 0}, (), 100)
     assert v > 100
@@ -143,6 +258,20 @@ def test_int_big_boundary_is_canonical():
     assert isinstance(top, Big)
     assert top == canon(1 << INT_BIT_LIMIT)
     assert nat_cmp(edge, top) < 0
+
+
+def test_big_compares_with_ints():
+    # a canonical int is answered inline, a raw oversized int through nat_cmp
+    edge = canon(1 << INT_BIT_LIMIT)
+    deep = from_bits([from_bits([edge, 3]), 7])
+    for b in (edge, deep):
+        for i in (0, 5, (1 << INT_BIT_LIMIT) - 1):
+            assert b > i and b >= i and not b < i and not b <= i
+            assert i < b and i <= b and not i > b and not i >= b
+            assert b != i and max(i, b) is b and min(b, i) == i
+    raw = 1 << 5000
+    assert canon(raw) <= raw and canon(raw) >= raw and not canon(raw) < raw
+    assert edge < raw and raw > edge and deep > raw and raw <= deep
 
 
 @given(st.integers(0, 10 ** 12), st.integers(0, 10 ** 12))
@@ -252,13 +381,15 @@ def test_negative_vertex_rejected():
         adjacent(-1, 2)
 
 
-def _canon_and_adjacent_calls(monkeypatch, run):
-    """Calls of bignat.canon and graph.adjacent made by run(), counted in
-    every radograph module that binds either name."""
+def _counted_calls(monkeypatch, run):
+    """Calls of bignat.canon, bignat.nat_cmp and graph.adjacent made by run(),
+    counted in every radograph module that binds each name (Big's compares
+    reach nat_cmp through the bignat module's own binding)."""
     modules = [radograph] + [importlib.import_module(f"radograph.{m.name}")
                              for m in pkgutil.iter_modules(radograph.__path__)]
-    calls = {"canon": 0, "adjacent": 0}
-    for name, inner in (("canon", bignat.canon), ("adjacent", graph.adjacent)):
+    calls = {"canon": 0, "nat_cmp": 0, "adjacent": 0}
+    for name, inner in (("canon", bignat.canon), ("nat_cmp", bignat.nat_cmp),
+                        ("adjacent", graph.adjacent)):
         def counted(*args, name=name, inner=inner):
             calls[name] += 1
             return inner(*args)
@@ -283,8 +414,11 @@ def test_translate_canonicalizes_at_the_boundary(monkeypatch):
     # a fixed ceiling for this fixed run, not a share of adjacent calls, which
     # fall whenever check() does less work: 670 calls here, about 10 000 with
     # canon back in adjacent, and 45 374 before canonicalizing at the boundary
-    calls = _canon_and_adjacent_calls(monkeypatch, run)
+    calls = _counted_calls(monkeypatch, run)
     assert calls["canon"] <= 1_000
+    # a canonical int is answered inline by Big's compares; nat_cmp is only
+    # for a raw oversized int, which never reaches them from inside
+    assert calls["nat_cmp"] == 0
 
 
 def test_sample_canonicalizes_at_the_boundary(monkeypatch):
@@ -292,5 +426,6 @@ def test_sample_canonicalizes_at_the_boundary(monkeypatch):
         for s in range(4):
             report(sample(s, 8), 10, seed=s)
 
-    calls = _canon_and_adjacent_calls(monkeypatch, run)
+    calls = _counted_calls(monkeypatch, run)
     assert calls["canon"] < calls["adjacent"]
+    assert calls["nat_cmp"] == 0
