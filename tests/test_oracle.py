@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 
 import pytest
@@ -302,3 +304,41 @@ def test_big_tables_shrink_when_construction_dropped():
     gc.collect()
     assert len(bignat._table) <= before
     assert len(bignat._order) == len(bignat._table)
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_develop_and_sample_artefacts_are_pinned():
+    # any drift in what develop or sample + report build, or in the order
+    # they build it, changes these digests
+    fp = {
+        (0, 1, 0, 1, 1, 0): "dc9d7a6ce202648d4a35472e7289d4b65d70cbfdad43d06f1c3ce9f022e69810",
+        (1, 1, 1, 1, 1, 1): "61d9a62b6e9b7c7ceba77ad2a34639924798665e7c21205b5fbc84f73765eeca",
+        (0, 0, 0, 0, 0, 0): "1f5711a7b456f124414fd8ee146c3b56c9d02c6a5a56ea1e49c59232822498f5",
+        (1, 0, 1): "f6a481f82fe67f687d0b39a99985d3eb388000b03df203c215e3a7cdd72ca02e",
+    }
+    for pattern, digest in fp.items():
+        o = build_fp(pattern)
+        o.develop(5)
+        assert _sha256(o.to_json()) == digest, pattern
+    c0 = [
+        "eead7428de90c74058caec511931be43cf4a63111c3f84caa647d44020dce2c0",
+        "3ae9152ad7ae78b072f062491a4dc184f5276cf85f4c2a19a378765384d3b9d8",
+        "94c6c9c649f98f3805928df164da329b2c4260e613954e8e680543d0adbeb4ad",
+    ]
+    for seed, digest in enumerate(c0):
+        o = build_c0(seed)
+        o.develop(6)
+        assert _sha256(o.to_json()) == digest, seed
+    sampled = {
+        (0, 6): "923726438f1ed3b0b5169ba8682f233d149df5e60b8b492762655442f14e996e",
+        (3, 7): "48cc50473bb1d1a3b6dd6b739e2e76e289727a92794f193e9ca5abb37a30a993",
+        (7, 8): "10bdf8798f6511831268561d249a419a1dc2277e0395c3e1b1ba36b2ad2afe7c",
+    }
+    for (seed, depth), digest in sampled.items():
+        o = sample(seed, depth)
+        rep = report(o, 10, seed=seed)
+        artefact = {"oracle": o.to_json(), "report": rep.to_json()}
+        assert _sha256(artefact) == digest, (seed, depth)
