@@ -48,10 +48,6 @@ class AlreadyDefined(RadographError):
     pass
 
 
-class IncompatibleTau(RadographError):
-    pass
-
-
 class NotC0Built(RadographError):
     pass
 

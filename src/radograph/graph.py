@@ -2,14 +2,16 @@
 
 Vertices are naturals; u and v (u < v) are adjacent exactly when bit u of v
 is set. ``realize`` returns the least fresh vertex with a prescribed
-adjacency pattern towards finitely many existing vertices. Every vertex
-argument is canonical (see ``bignat``).
+adjacency pattern towards finitely many existing vertices, and
+``merge_tau`` is the one place that pattern is assembled from separate
+requirements. Every vertex argument is canonical (see ``bignat``).
 """
 
 from __future__ import annotations
 
 from . import bignat
 from .bignat import Big, succ, vmax
+from .errors import ImplementationFault
 
 
 def adjacent(u, v):
@@ -30,6 +32,20 @@ def adjacent(u, v):
     elif u == v:
         return False
     return u < v.bit_length() and (v >> u) & 1 == 1
+
+
+def merge_tau(pairs):
+    """The adjacency type {w: 0/1} asked for by the (w, bit) pairs.
+
+    Callers derive their requirements from a structure whose invariants make
+    them consistent, so a w asked for with both bits is a bug in this
+    package: ImplementationFault names it."""
+    tau = {}
+    for w, bit in pairs:
+        bit = 1 if bit else 0
+        if tau.setdefault(w, bit) != bit:
+            raise ImplementationFault(f"adjacency requirements clash at {w!r}")
+    return tau
 
 
 def realize(tau, forbidden=(), lower_bound=0):

@@ -15,11 +15,10 @@ import math
 from .bignat import canon, decode, decode_map, encode, encode_map, vmax
 from .errors import (
     ConstructionConflict,
-    ImplementationFault,
     NotConstructed,
     UntouchedVertex,
 )
-from .graph import adjacent, realize
+from .graph import adjacent, merge_tau, realize
 from .partial import PartialAutomorphism
 
 STAR = "(*)"
@@ -152,21 +151,16 @@ class AutomorphismOracle:
         self._max = vmax([self._max, v])
         return oid
 
-    def _assemble(self, required, touched_snapshot):
-        """Merge required tau entries (conflicts are internal faults) and
-        default every remaining touched vertex to non-adjacent."""
-        tau = {}
-        for key, val, why in required:
-            old = tau.get(key)
-            if old is not None and old[0] != val:
-                raise ImplementationFault(
-                    f"tau conflict at {key!r}: {old[1]} wants {old[0]}, {why} wants {val}"
-                )
-            tau[key] = (val, why)
-        out = {k: v for k, (v, _) in tau.items()}
-        for t in touched_snapshot:
-            out.setdefault(t, 0)
-        return out
+    def _fresh_point(self, pairs):
+        """Least vertex above everything stored or touched that meets the
+        (w, bit) requirements and has no edge to any other touched vertex.
+
+        realize does not depend on the key order of its type, so the
+        touched-vertex default is laid down first and the merged
+        requirements over it."""
+        tau = dict.fromkeys(self._orbit_of, 0)
+        tau.update(merge_tau(pairs))
+        return realize(tau, (), self._max)
 
     def _extend_forward(self, oid):
         chain = self._chains[oid]
@@ -178,13 +172,12 @@ class AutomorphismOracle:
             bit = self._pattern_bit(n)
             if n == 1 and u in self._pending:
                 bit = self._pending[u]
-            required.append((u, bit, f"pattern@{n}"))
+            required.append((u, bit))
         for x in self._constraints.get(oid, ()):
-            required.append((x, 0, "prohibition"))
+            required.append((x, 0))
         for x, fx in self._fwd.items():
-            required.append((fx, 1 if adjacent(x, last) else 0, "mirror"))
-        tau = self._assemble(required, self._orbit_of)
-        new = realize(tau, (), self._max)
+            required.append((fx, adjacent(x, last)))
+        new = self._fresh_point(required)
         chain.append(new)
         self._orbit_of[new] = oid
         self._store(last, new)
@@ -196,13 +189,12 @@ class AutomorphismOracle:
         first = chain[0]
         required = []
         for j, u in enumerate(chain):
-            required.append((u, self._pattern_bit(j + 1), f"pattern@{j + 1}"))
+            required.append((u, self._pattern_bit(j + 1)))
         for x in self._constraints.get(oid, ()):
-            required.append((x, 0, "prohibition"))
+            required.append((x, 0))
         for x, fx in self._fwd.items():
-            required.append((x, 1 if adjacent(first, fx) else 0, "mirror"))
-        tau = self._assemble(required, self._orbit_of)
-        new = realize(tau, (), self._max)
+            required.append((x, adjacent(first, fx)))
+        new = self._fresh_point(required)
         chain.insert(0, new)
         self._orbit_of[new] = oid
         self._store(new, first)
@@ -238,9 +230,7 @@ class AutomorphismOracle:
                     f"variant {variant} contradicts the orbit edge pattern"
                 )
         req = {w: 1 if b else 0 for w, b in tau.items()}
-        full = {t: 0 for t in self._orbit_of}
-        full.update(req)
-        v = realize(full, (), self._max)
+        v = self._fresh_point(req.items())
         self._touch(v)
         if variant in (STAR0, STAR1):
             self._pending[v] = 0 if variant == STAR0 else 1
@@ -261,10 +251,7 @@ class AutomorphismOracle:
             if x not in self._orbit_of:
                 raise UntouchedVertex(f"{x!r} was never touched by this construction")
             oids.add(self._orbit_of[x])
-        full = {t: 0 for t in self._orbit_of}
-        for a in a_set:
-            full[a] = 1
-        v = realize(full, (), self._max)
+        v = self._fresh_point((a, 1) for a in a_set)
         self._touch(v)
         self._pending[v] = self._pattern_bit(1)
         for oid in oids:

@@ -76,12 +76,11 @@ def _record(t, trace, round_no, parity, op, arg):
 def _even_round(t, trace, v=None, round_no=0):
     """Ingest one vertex into dom(g) and ran(g), phi first."""
     if v is None:
-        k = 0
         v = 0
         while v in t.g and v in t.g_inv:
             v += 1
     images = sorted({h.image(v) for h in t.family})
-    t.add_to_m({v}, )
+    t.add_to_m({v})
     t.add_to_m(images)
     _record(t, trace, round_no, "even", "add_to_m", [encode(v)] + [encode(w) for w in images])
     classes = t.classes()
@@ -173,7 +172,7 @@ def conjugate_c0(f, fp, depth):
         paired.setdefault(foid, (a, b))
         paired_rev.setdefault(poid, paired[foid])
 
-    def fresh_partner(side_oracle, other_oracle, v, fwd_map):
+    def fresh_partner(other_oracle, v, fwd_map):
         """Witness in other_oracle matching v's adjacency into dom(fwd_map)."""
         a_set = {fwd_map[w] for w in fwd_map if adjacent(v, w)}
         covered = {other_oracle.orbit_id(x) for x in a_set}
@@ -204,7 +203,7 @@ def conjugate_c0(f, fp, depth):
                 a, b = paired[foid]
                 add_pair(v, walk(fp, b, offset(f, a, v)))
             else:
-                add_pair(v, fresh_partner(f, fp, v, phi))
+                add_pair(v, fresh_partner(fp, v, phi))
         else:
             v = next_missing(fp, phi_inv)
             poid = fp.orbit_id(v)
@@ -212,7 +211,7 @@ def conjugate_c0(f, fp, depth):
                 a, b = paired_rev[poid]
                 add_pair(walk(f, a, offset(fp, b, v)), v)
             else:
-                add_pair(fresh_partner(fp, f, v, phi_inv), v)
+                add_pair(fresh_partner(f, v, phi_inv), v)
     return PartialAutomorphism(phi)
 
 

@@ -5,7 +5,10 @@ triple tracks a partial map g, one finite map phi per restriction class of K
 over M* = M u K^{-1}(M), and the support set M. The ten structural
 conditions are decidable on this finite data; the four extension operations
 grow the triple while keeping all ten conditions intact. phi is shared per
-fingerprint class: members that agree on M* always hold the same dict.
+fingerprint class: members that agree on M* always hold the same dict. The
+converse does not hold: after add_to_m splits a class, the new classes go on
+holding one dict between them until extend_domain_g or extend_range_g gives
+each class its own copy.
 
 check() pays only for what changed since its last result: condition (i)
 re-tests only the pairs of g and phi that are new since they last passed,
@@ -22,10 +25,9 @@ from .errors import (
     ConstructionConflict,
     FiniteOrbitsUnsupported,
     ImplementationFault,
-    IncompatibleTau,
     PreconditionPhiMissing,
 )
-from .graph import adjacent
+from .graph import adjacent, merge_tau
 from .oracle import STAR0
 from .partial import PartialAutomorphism
 from .splitting import split_far
@@ -305,7 +307,7 @@ class GoodTriple:
         f = self.target
         req = []
         for w, pw in cls.phi.items():
-            req.append((pw, 1 if adjacent(v, w) else 0, "match"))
+            req.append((pw, adjacent(v, w)))
         if v not in self.g:
             # pre-empt bad/ugly situations with v in the y slot
             for x in cls.phi:
@@ -321,11 +323,11 @@ class GoodTriple:
                         if key is None:
                             key = f.preimage(cls.phi[x])
                         bit = adjacent(c2.phi[xp], f.image(c2.phi[v]))
-                        req.append((key, 1 if bit else 0, "pre-bad-y"))
+                        req.append((key, bit))
                     elif xp == v and v not in c2.phi:
                         if key is None:
                             key = f.preimage(cls.phi[x])
-                        req.append((key, 0, "pre-ugly-y"))
+                        req.append((key, 0))
             # pre-empt situations with v in the x slot
             if v not in cls.ran and v in cls.hinv:
                 u0 = cls.hinv[v]
@@ -338,18 +340,10 @@ class GoodTriple:
                             continue
                         if xp in c2.phi and y in c2.phi:
                             bit = adjacent(c2.phi[xp], f.image(c2.phi[y]))
-                            req.append((f.image(cls.phi[y]), 1 if bit else 0, "pre-bad-x"))
+                            req.append((f.image(cls.phi[y]), bit))
                         elif xp == y and y not in c2.phi:
-                            req.append((f.image(cls.phi[y]), 0, "pre-ugly-x"))
-        tau = {}
-        for key, bit, why in req:
-            old = tau.get(key)
-            if old is not None and old[0] != bit:
-                raise ImplementationFault(
-                    f"witness requirements clash at {key!r}: {old[1]} vs {why}"
-                )
-            tau[key] = (bit, why)
-        z = f.star_witness({k: b for k, (b, _) in tau.items()}, STAR0)
+                            req.append((f.image(cls.phi[y]), 0))
+        z = f.star_witness(merge_tau(req), STAR0)
         cls.phi[v] = z
         return self
 
@@ -359,15 +353,6 @@ class GoodTriple:
             if v not in cls.phi:
                 self.extend_phi(classes, cls, v)
         return self
-
-    def _merge_tau(self, entries):
-        tau = {}
-        for key, bit, why in entries:
-            old = tau.get(key)
-            if old is not None and old[0] != bit:
-                raise IncompatibleTau(f"tau clash at {key!r}: {old[1]} vs {why}")
-            tau[key] = (bit, why)
-        return {k: b for k, (b, _) in tau.items()}
 
     def extend_domain_g(self, v):
         """Adjoin v to dom(g): the image is a far splitting point v-bar, and
@@ -379,17 +364,12 @@ class GoodTriple:
             if v not in c.phi:
                 raise PreconditionPhiMissing(f"phi missing at {v!r}")
         f = self.target
-        entries = [
-            (w, 1 if adjacent(self.g_inv[w], v) else 0, "g-range")
-            for w in self.g_inv
-        ]
+        entries = [(w, adjacent(self.g_inv[w], v)) for w in self.g_inv]
         for c in classes:
             fz = f.image(c.phi[v])
             for u, pu in c.phi.items():
-                entries.append(
-                    (c.hinv[u], 1 if adjacent(pu, fz) else 0, "phi-pullback")
-                )
-        tau = self._merge_tau(entries)
+                entries.append((c.hinv[u], adjacent(pu, fz)))
+        tau = merge_tau(entries)
         vbar = split_far(self.family, self.family.m_star(self.M), tau)
         self.g[v] = vbar
         self.g_inv[vbar] = v
@@ -416,14 +396,12 @@ class GoodTriple:
             if c.hmap[v] not in c.phi:
                 raise PreconditionPhiMissing(f"phi missing at image of {v!r}")
         f = self.target
-        entries = [
-            (w, 1 if adjacent(self.g[w], v) else 0, "g-domain") for w in self.g
-        ]
+        entries = [(w, adjacent(self.g[w], v)) for w in self.g]
         for c in classes:
             fz = f.preimage(c.phi[c.hmap[v]])
             for u, pu in c.phi.items():
-                entries.append((u, 1 if adjacent(pu, fz) else 0, "phi-direct"))
-        tau = self._merge_tau(entries)
+                entries.append((u, adjacent(pu, fz)))
+        tau = merge_tau(entries)
         vbar = split_far(self.family, self.family.m_star(self.M), tau)
         self.g[vbar] = v
         self.g_inv[v] = vbar
@@ -501,32 +479,19 @@ def _fingerprint(h, mstar):
 
 
 def _chain_ids(hg, phi_dom):
-    """Union-find of hg-chains over dom(phi); None if a cycle exists."""
-    parent = {}
+    """Chain id of each vertex of dom(phi), None if hg closes a cycle.
 
-    def find(a):
-        while parent.get(a, a) != a:
-            parent[a] = parent.get(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    vertices = set(phi_dom) | set(hg) | set(hg.values())
-    for v in vertices:
-        parent.setdefault(v, v)
-    for v, w in hg.items():
-        ra, rb = find(v), find(w)
-        if ra != rb:
-            parent[ra] = rb
-    # cycle check: follow hg from each vertex
-    for start in hg:
-        seen = set()
-        v = start
-        while v in hg:
-            if v in seen:
-                return None
-            seen.add(v)
-            v = hg[v]
-    return {w: find(w) for w in phi_dom}
+    A vertex on an hg-chain gets the chain's first vertex, any other vertex
+    itself. hg must be injective, as it is once g passes (i), since every
+    family member is; (ii) puts every vertex of hg in dom(phi)."""
+    chain_of = {}
+    for orbit in PartialAutomorphism(hg).orbit_paths():
+        if orbit["kind"] == "cycle":
+            return None
+        first = orbit["vertices"][0]
+        for w in orbit["vertices"]:
+            chain_of[w] = first
+    return {w: chain_of.get(w, w) for w in phi_dom}
 
 
 def init(family, target):

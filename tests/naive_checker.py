@@ -69,6 +69,20 @@ def _components(edges, vertices):
     return comp
 
 
+def _has_cycle(hg):
+    """Whether following the map hg from some vertex comes back to a vertex
+    already visited on that walk."""
+    for start in hg:
+        seen = set()
+        v = start
+        while v in hg:
+            if v in seen:
+                return True
+            seen.add(v)
+            v = hg[v]
+    return False
+
+
 def violated_conditions(snapshot, members, target):
     """Set of violated condition names; "structural" covers snapshots whose
     data cannot even be matched up (bad fingerprints, unbuilt vertices)."""
@@ -118,15 +132,8 @@ def violated_conditions(snapshot, members, target):
             if vbar in hmap:
                 hg[v] = hmap[vbar]
         # (vii): a cycle in hg
-        for start in hg:
-            seen = set()
-            v = start
-            while v in hg:
-                if v in seen:
-                    out.add("(vii)")
-                    break
-                seen.add(v)
-                v = hg[v]
+        if _has_cycle(hg):
+            out.add("(vii)")
         # (v): distinct hg-chains must land in distinct target orbits
         comp = _components(list(hg.items()), sorted(
             set(phi) | set(hg) | set(hg.values())

@@ -3,6 +3,7 @@ import importlib
 import pickle
 import pkgutil
 import random
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import radograph
 from radograph import adjacent, realize, induced_subgraph, to_dot
 from radograph import bignat, graph
+from radograph.errors import ImplementationFault
 from radograph.oracle import CompactFamily, build_c0, identity_oracle, seeded_oracle
 from radograph.sampler import report, sample
 from radograph.translate import translate, truss_factor, verify
@@ -60,6 +62,21 @@ def test_realize_frozen_values():
     assert realize({0: 1, 1: 0, 2: 1}, (), 0) == 5
     assert realize({}, (), 0) == 1
     assert realize({0: 1}, {1}, 0) == 3
+
+
+def test_merge_tau_merges_repeated_equal_bits():
+    big = canon(1 << (INT_BIT_LIMIT + 1))
+    pairs = [(3, True), (0, 0), (3, 1), (big, 1), (0, False), (big, True)]
+    assert graph.merge_tau(pairs) == {3: 1, 0: 0, big: 1}
+    assert graph.merge_tau([]) == {}
+
+
+def test_merge_tau_clash_names_the_vertex():
+    big = canon(1 << (INT_BIT_LIMIT + 1))
+    with pytest.raises(ImplementationFault, match=r"at 7$"):
+        graph.merge_tau([(2, 1), (7, 0), (2, True), (7, True)])
+    with pytest.raises(ImplementationFault, match=re.escape(repr(big))):
+        graph.merge_tau([(3, 0), (big, 1), (big, 0)])
 
 
 @given(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from radograph import PartialAutomorphism, adjacent, bignat, oracle
 from radograph.errors import (
     ConstructionConflict,
+    ImplementationFault,
     NotConstructed,
     UntouchedVertex,
 )
@@ -286,6 +287,18 @@ def test_task_log_keeps_own_copy_of_arguments():
     a_set.add(t[4])
     b_set.clear()
     assert o.to_json() == data
+
+
+def test_orbit_requirement_clash_is_an_implementation_fault():
+    # the next point after last must be adjacent to it (pattern bit 1), and a
+    # prohibition planted on orbit 0 forbids that edge
+    o = build_fp((0,))
+    o.develop(1)
+    last = o.orbit_points(0)[-1]
+    o._constraints.setdefault(0, set()).add(last)
+    o._pending.pop(last, None)
+    with pytest.raises(ImplementationFault, match=rf"at {last!r}\b"):
+        o.image(last)
 
 
 def test_unknown_kind_rejected():

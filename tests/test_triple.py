@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radograph import adjacent, realize
 from radograph.bignat import decode, decode_map, encode_map
@@ -16,7 +17,9 @@ from radograph.oracle import (
     replay,
     seeded_oracle,
 )
-from radograph.triple import GoodTriple, init
+from radograph.triple import GoodTriple, _chain_ids, init
+
+from naive_checker import _components, _has_cycle
 
 SWAP = {0: 1, 1: 0}
 
@@ -257,3 +260,33 @@ def test_snapshot_mismatched_phi_rejected():
     target = replay(snap["target_ref"])
     with pytest.raises(ValueError):
         GoodTriple.from_snapshot(snap, fam, target)
+
+
+@st.composite
+def injective_maps(draw):
+    """An injective map on a few naturals, cycles allowed, and a dom(phi)
+    holding every vertex of the map and maybe a few more, as (ii) makes it."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+    perm = draw(st.permutations(range(n)))
+    dom = draw(st.sets(st.integers(0, n - 1)))
+    hg = {labels[i]: labels[perm[i]] for i in sorted(dom)}
+    extra = draw(st.sets(st.integers(61, 70), max_size=3))
+    return hg, set(hg) | set(hg.values()) | extra
+
+
+@given(injective_maps())
+@example(({3: 5, 5: 3}, {3, 5, 9}))
+@example(({3: 5, 5: 8, 1: 2}, {1, 2, 3, 5, 8, 61}))
+@settings(max_examples=300, deadline=None)
+def test_chain_ids_match_naive_walk(case):
+    hg, phi_dom = case
+    ids = _chain_ids(hg, phi_dom)
+    if _has_cycle(hg):
+        assert ids is None
+        return
+    assert ids is not None and set(ids) == phi_dom
+    comp = _components(list(hg.items()), sorted(phi_dom))
+    for a in phi_dom:
+        for b in phi_dom:
+            assert (ids[a] == ids[b]) == (comp[a] == comp[b]), (a, b)
