@@ -34,7 +34,8 @@ Only the operations the graph model needs are provided: total order,
 successor, bit tests, and the minimal value >= N whose bits agree with a
 finite 0/1 constraint map. ``encode``/``decode`` give the JSON form of one
 natural; ``encode_map``/``decode_map`` are the one place that knows the
-JSON form of a finite vertex map.
+JSON form of a finite vertex map. ``decode`` asks the intern table for each
+node before building it, so decoding a live value returns it as it is.
 """
 
 from __future__ import annotations
@@ -311,10 +312,27 @@ def encode(v):
 
 
 def decode(obj):
+    """Inverse of ``encode``: the canonical natural of a JSON vertex.
+
+    A node's positions are decoded first, then their tuple is looked up in
+    the intern table, and a hit is the live ``Big`` itself. A hit is
+    canonical: the table's keys are the strictly descending bit tuples of
+    live ``Big`` values, and decoded positions are canonical, so equal
+    tuples are the same value. A miss goes through ``from_bits``, which also
+    accepts unsorted or repeated positions and all-small ones that make an
+    ``int``. A non-negative ``int`` of at most ``INT_BIT_LIMIT`` bits is
+    returned as it is; any other ``int`` (a bool too) goes through ``canon``.
+    """
+    if type(obj) is int and obj >= 0 and obj.bit_length() <= INT_BIT_LIMIT:
+        return obj
     if isinstance(obj, int):
         return canon(obj)
     if isinstance(obj, dict) and set(obj) == {"^"}:
-        return from_bits(decode(p) for p in obj["^"])
+        positions = [decode(p) for p in obj["^"]]
+        entry = _table.get(tuple(positions))
+        if entry is not None:
+            return entry()
+        return from_bits(positions)
     raise ValueError(f"not an encoded vertex: {obj!r}")
 
 

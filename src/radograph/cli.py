@@ -128,9 +128,12 @@ def cmd_build_c0(args):
 def cmd_good_check(args):
     with open(args.snapshot) as fh:
         snap = json.load(fh)
-    fam = CompactFamily([replay(log) for log in snap["family_ref"]])
-    target = replay(snap["target_ref"])
-    t = GoodTriple.from_snapshot(snap, fam, target)
+    try:
+        fam = CompactFamily([replay(log) for log in snap["family_ref"]])
+        target = replay(snap["target_ref"])
+        t = GoodTriple.from_snapshot(snap, fam, target)
+    except Exception as exc:
+        raise ValueError(f"malformed snapshot: {exc}") from exc
     rep = t.check()
     if not rep["ok"]:
         raise CheckFailure(rep)

@@ -122,6 +122,22 @@ def test_good_check_planted_violation(capsys, tmp_path):
     assert data["error"]["condition"] == "(iv)"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("g", 5),
+    ("phi", 5),
+    ("family_ref", [5]),  # replay raises TypeError
+    ("target_ref", {"kind": "c0", "seed": 0, "tasks": [[]]}),  # IndexError
+])
+def test_good_check_malformed_snapshot(capsys, tmp_path, key, value):
+    path = Path(_snapshot_file(tmp_path))
+    snap = json.loads(path.read_text())
+    snap[key] = value
+    path.write_text(json.dumps(snap))
+    rc, data = run_json(capsys, "good-check", "--snapshot", str(path))
+    assert rc == 1
+    assert data["error"].startswith("malformed snapshot: ")
+
+
 def test_translate_command_with_trace(capsys, tmp_path):
     trace_file = tmp_path / "trace.json"
     rc, data = run_json(

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import json
 import pickle
 import pkgutil
 import random
@@ -379,6 +380,105 @@ def test_encode_decode_roundtrip():
         decode_map(pairs + [[encode(vs[2]), 1]])
 
 
+def reference_decode(obj):
+    """decode without the intern-table lookup: every node goes through
+    from_bits and every int through canon."""
+    if isinstance(obj, int):
+        return canon(obj)
+    if isinstance(obj, dict) and set(obj) == {"^"}:
+        return from_bits(reference_decode(p) for p in obj["^"])
+    raise ValueError(f"not an encoded vertex: {obj!r}")
+
+
+def _outcome(fn, obj):
+    try:
+        return "value", fn(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_decodes_like_reference(obj):
+    # decode runs first, so a node no live Big holds takes its miss path
+    got = _outcome(decode, obj)
+    want = _outcome(reference_decode, obj)
+    assert got[0] == want[0], (obj, got, want)
+    if isinstance(want[1], Big):
+        assert got[1] is want[1]
+    else:
+        assert type(got[1]) is type(want[1]) and got[1] == want[1]
+
+
+# a natural as nested lists of bit positions, each list built by from_bits;
+# leaves next to INT_BIT_LIMIT make Bigs, small ones make ints
+_specs = st.recursive(st.integers(0, 12) | st.integers(INT_BIT_LIMIT - 2, INT_BIT_LIMIT + 6),
+                      lambda kids: st.lists(kids, min_size=1, max_size=4), max_leaves=12)
+_MALFORMED = [1.5, -3, "x", [1], {"^": [1], "v": 2}, {"^": 5}, {"^": "ab"}]
+
+
+def _build(spec):
+    return spec if isinstance(spec, int) else from_bits([_build(s) for s in spec])
+
+
+def _variant(obj, rng):
+    """Another JSON form of an encoded vertex, mostly of the same value: a
+    node's positions shuffled or repeated, a node of int positions written as
+    the raw int (when that is small enough to build), an int written as a
+    node of its bits, 0/1 as false/true, and now and then a malformed part."""
+    r = rng.random()
+    if r < 0.015:
+        return rng.choice(_MALFORMED)
+    if isinstance(obj, int):
+        if obj in (0, 1) and r < 0.3:
+            return bool(obj)
+        if r >= 0.4:
+            return obj
+        obj, r = {"^": bits_desc(obj)}, rng.random()
+    if r < 0.25 and all(isinstance(p, int) and p < 2 * INT_BIT_LIMIT for p in obj["^"]):
+        return sum(1 << p for p in obj["^"])
+    ps = [_variant(p, rng) for p in obj["^"]]
+    if r < 0.45:
+        rng.shuffle(ps)
+    elif r < 0.6:
+        ps.append(rng.choice(ps))
+    return {"^": ps}
+
+
+@given(spec=_specs, keep=st.booleans(), rng=st.randoms(use_true_random=False))
+@settings(max_examples=400, deadline=None)
+def test_decode_matches_reference(spec, keep, rng):
+    v = _build(spec)
+    obj = encode(v) if rng.random() < 0.3 else _variant(encode(v), rng)
+    if not keep:
+        del v  # Bigs that only v held are collected, and decode misses them
+    _assert_decodes_like_reference(obj)
+
+
+def test_decode_matches_reference_on_fixed_inputs():
+    x = from_bits([INT_BIT_LIMIT + 1, 3])
+    nested = from_bits([from_bits([x, 0]), 2])
+    cases = [
+        encode(x), encode(nested), {"^": [3, INT_BIT_LIMIT + 1, 3]},
+        {"^": [1, True]}, {"^": [INT_BIT_LIMIT + 1, False]}, True, False,
+        1 << (INT_BIT_LIMIT + 1), {"^": [1 << (INT_BIT_LIMIT + 1)]},
+        {"^": [2, 0]}, {"^": []}, *_MALFORMED, None, {"^": [-1]},
+    ]
+    for obj in cases:
+        _assert_decodes_like_reference(obj)
+
+
+def test_decode_reuses_live_nodes(monkeypatch):
+    v = from_bits([from_bits([from_bits([10 ** 10, 0]), 2]), 1, 0])
+    res, certs = truss_factor(seeded_oracle({0: 2}), 6)  # res keeps the oracles live
+    certs = json.loads(json.dumps(certs))
+    assert any('"^"' in json.dumps(c) for c in certs)
+    calls = []
+    inner = bignat.from_bits
+    monkeypatch.setattr(bignat, "from_bits", lambda ps: calls.append(ps) or inner(ps))
+    assert decode(encode(v)) is v
+    assert all(verify(c)["ok"] for c in certs)
+    assert calls == []
+
+
 def test_induced_subgraph_small():
     sub = induced_subgraph([0, 1, 2, 3])
     assert sub[0] == [1, 3]
@@ -429,7 +529,7 @@ def test_translate_canonicalizes_at_the_boundary(monkeypatch):
         assert all(verify(c)["ok"] for c in certs)
 
     # a fixed ceiling for this fixed run, not a share of adjacent calls, which
-    # fall whenever check() does less work: 670 calls here, about 10 000 with
+    # fall whenever check() does less work: 195 calls here, about 10 000 with
     # canon back in adjacent, and 45 374 before canonicalizing at the boundary
     calls = _counted_calls(monkeypatch, run)
     assert calls["canon"] <= 1_000
