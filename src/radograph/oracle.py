@@ -401,11 +401,10 @@ class CompactFamily:
     def __len__(self):
         return len(self.members)
 
-    def family_image(self, m_set):
-        return {h.image(v) for h in self.members for v in m_set}
-
     def family_preimage(self, m_set):
-        return {h.preimage(v) for h in self.members for v in m_set}
+        """Preimages of m_set under every member, asked in sorted order: a
+        miss extends a lazily built member, so the order fixes what it builds."""
+        return {h.preimage(v) for h in self.members for v in sorted(m_set)}
 
     def m_star(self, m_set):
         return set(m_set) | self.family_preimage(m_set)

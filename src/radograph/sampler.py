@@ -89,9 +89,10 @@ class SampleReport:
 
 
 def _orbit_ball(o, starts, cap):
-    """Points within cap forward/backward steps of starts under o."""
+    """Points within cap forward/backward steps of starts under o, walked
+    from the starts in sorted order, since each miss extends o."""
     ball = set()
-    for s in starts:
+    for s in sorted(starts):
         v = s
         ball.add(v)
         for _ in range(cap):

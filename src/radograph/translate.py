@@ -32,19 +32,6 @@ class TranslationResult:
     trace: list
     steps_run: int
 
-    def g_image(self, v):
-        """g(v), ingesting v with an extra targeted round if needed."""
-        if v not in self.triple.g:
-            _even_round(self.triple, self.trace, v)
-            self.steps_run += 1
-        return self.triple.g[v]
-
-    def g_preimage(self, v):
-        if v not in self.triple.g_inv:
-            _even_round(self.triple, self.trace, v)
-            self.steps_run += 1
-        return self.triple.g_inv[v]
-
     def checks_passed(self):
         return sum(1 for e in self.trace if e.get("check", {}).get("ok"))
 
@@ -73,12 +60,11 @@ def _record(t, trace, round_no, parity, op, arg):
         raise ImplementationFault(f"check failed after {op}: {rep}")
 
 
-def _even_round(t, trace, v=None, round_no=0):
-    """Ingest one vertex into dom(g) and ran(g), phi first."""
-    if v is None:
-        v = 0
-        while v in t.g and v in t.g_inv:
-            v += 1
+def _even_round(t, trace, round_no):
+    """Ingest the least vertex missing from dom(g) or ran(g), phi first."""
+    v = 0
+    while v in t.g and v in t.g_inv:
+        v += 1
     images = sorted({h.image(v) for h in t.family})
     t.add_to_m({v})
     t.add_to_m(images)
@@ -136,7 +122,7 @@ def translate(family, target, steps):
         if n % 2 == 1:
             _odd_round(t, trace, n)
         else:
-            _even_round(t, trace, None, n)
+            _even_round(t, trace, n)
     return TranslationResult(t, trace, steps)
 
 
@@ -222,7 +208,8 @@ def truss_factor(h, steps, target=None):
     """Translate {id, h} onto an edge-free-orbit target f; the certificates
     witness, per member h', the pointwise identity phi(h'(g(v))) = f(phi(v)),
     i.e. that g and h o g both act like f up to conjugation at every
-    checked point."""
+    checked point. The target is encoded once: the certificates share one
+    f_ref object."""
     if h.declared_finite_orbits:
         raise FiniteOrbitsUnsupported("h must not declare finite orbits")
     members = [identity_oracle()]
@@ -231,27 +218,28 @@ def truss_factor(h, steps, target=None):
     family = CompactFamily(members)
     target = target or build_c0(seed=0)
     res = translate(family, target, steps)
+    # every phi value's f-image was built with the value, so the target's
+    # core already holds f(phi(v)) at every checked point
+    f_ref = target.to_json()
     certs = [
-        _certificate(res.triple, i, member)
+        _certificate(res.triple, i, member, f_ref)
         for i, member in enumerate(family.members)
     ]
     return res, certs
 
 
-def _certificate(t, index, member):
+def _certificate(t, index, member, f_ref):
     phi = t._phi[index]
-    f = t.target
     points = []
     for v in t.g:
         gv = t.g[v]
         hgv = member.image(gv)
         if v in phi and hgv in phi:
-            f.image(phi[v])  # pin f(phi(v)) into the serialized core
             points.append(v)
     points.sort()
     return {
         "kind": "conjugation",
-        "f_ref": f.to_json(),
+        "f_ref": f_ref,
         "h_ref": "id" if member.kind == "identity" else member.to_json(),
         "g": encode_map(t.g),
         "phi": encode_map(phi),

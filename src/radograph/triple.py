@@ -4,11 +4,13 @@ For a finite family K of lazy automorphisms and a constructed target f, the
 triple tracks a partial map g, one finite map phi per restriction class of K
 over M* = M u K^{-1}(M), and the support set M. The ten structural
 conditions are decidable on this finite data; the four extension operations
-grow the triple while keeping all ten conditions intact. phi is shared per
-fingerprint class: members that agree on M* always hold the same dict. The
-converse does not hold: after add_to_m splits a class, the new classes go on
-holding one dict between them until extend_domain_g or extend_range_g gives
-each class its own copy.
+grow the triple while keeping all ten conditions intact. Two invariants make
+the data, and so the artefacts, independent of how often check() runs:
+- every phi value's f-image is built when the value is created, so every
+  target query that check() makes is a hit and check() extends no oracle;
+- each class owns its phi dict: its members hold that one dict, and no other
+  class holds it. When add_to_m splits a class, classes() gives each new
+  class after the first a copy.
 
 check() pays only for what changed since its last result: condition (i)
 re-tests only the pairs of g and phi that are new since they last passed,
@@ -37,6 +39,8 @@ from .splitting import split_far
 class ClassView:
     """One restriction class over M*: fingerprint, members, phi and h o g.
 
+    phi is the class's own dict, the one every member's slot holds, so a
+    write to it defines phi for the whole class and for no other class.
     A view describes one state of g and M; any mutation of either makes it
     stale, so derive a new one with GoodTriple.classes() after each.
     """
@@ -124,23 +128,25 @@ class GoodTriple:
         for i, h in enumerate(self.family.members):
             groups.setdefault(_fingerprint(h, mstar), []).append(i)
         out = []
+        held = set()  # ids of the dicts that earlier classes own
         for key, idxs in groups.items():
             ph = self._phi[idxs[0]]
-            for i in idxs[1:]:
-                if self._phi[i] is not ph:
-                    if self._phi[i] == ph:
-                        self._phi[i] = ph  # re-share after a refinement
-                    else:
-                        raise ImplementationFault(
-                            "members with equal fingerprints hold different phi"
-                        )
+            if any(self._phi[i] is not ph for i in idxs[1:]):
+                raise ImplementationFault(
+                    "members with equal fingerprints hold different phi"
+                )
+            if id(ph) in held:  # a split: the new class gets its own copy
+                ph = dict(ph)
+                for i in idxs:
+                    self._phi[i] = ph
+            held.add(id(ph))
             hmap = dict(key)
             hg = {w: hmap[vb] for w, vb in self.g.items() if vb in hmap}
             out.append(ClassView(key, idxs, ph, hmap, {v: m for m, v in hmap.items()},
                                  hg, set(hg.values())))
-        # keyed after re-sharing: with the same slot identities no two members
-        # of one class can hold different dicts, so (vi) cannot newly fail;
-        # the views hold every slot's dict, so no id in the key is reused
+        # keyed after the split copies: with the same slot identities no two
+        # members of one class can hold different dicts, so (vi) cannot newly
+        # fail; the views hold every slot's dict, so no id in the key is reused
         self._views = (self._state_key(), out)
         return out
 
@@ -152,31 +158,14 @@ class GoodTriple:
     def find_bad(self, classes):
         out = []
         f = self.target
-        images = {}
-
-        def image(v):
-            w = images.get(v)
-            if w is None:
-                w = images[v] = f.image(v)
-            return w
-
         for c in classes:
             lhs_of = {}  # (x, y) -> adjacent(phi(x), f(phi(y))), for class c
             for c2 in classes:
+                if c2 is c:  # x' = x, so both sides are one test
+                    continue
                 for x in c.phi:
                     if x in c.ran or x not in c.hinv:
                         continue
-                    if c2 is c:
-                        # x' = x, so both sides are one test and nothing here
-                        # is bad. The f-images are still taken, in the same
-                        # order: a query miss builds a target point that later
-                        # witnesses depend on, so dropping these calls would
-                        # change the artefacts and must come as a declared
-                        # format change of its own.
-                        for y in c.phi:
-                            if y not in self.g:
-                                image(c.phi[y])
-                        break
                     u = c.hinv[x]
                     xp = c2.hmap.get(u)
                     if xp is None or xp not in c2.phi or xp in c2.ran:
@@ -186,8 +175,8 @@ class GoodTriple:
                             continue
                         lhs = lhs_of.get((x, y))
                         if lhs is None:
-                            lhs = lhs_of[x, y] = adjacent(c.phi[x], image(c.phi[y]))
-                        rhs = adjacent(c2.phi[xp], image(c2.phi[y]))
+                            lhs = lhs_of[x, y] = adjacent(c.phi[x], f.image(c.phi[y]))
+                        rhs = adjacent(c2.phi[xp], f.image(c2.phi[y]))
                         if lhs != rhs:
                             out.append(
                                 BadSituation(c.indices[0], c2.indices[0], x, xp, y)
@@ -344,6 +333,7 @@ class GoodTriple:
                         elif xp == y and y not in c2.phi:
                             req.append((f.image(cls.phi[y]), 0))
         z = f.star_witness(merge_tau(req), STAR0)
+        f.image(z)  # pin f(z) now, so that check() only reads it
         cls.phi[v] = z
         return self
 
@@ -376,12 +366,14 @@ class GoodTriple:
         self.M.add(vbar)
         for c in classes:
             fz = f.image(c.phi[v])
-            for i in c.indices:
-                self._phi[i] = dict(self._phi[i])
+            f.image(fz)  # pin f(fz) now, so that check() only reads it
+            own = {}  # h(v-bar) -> the dict of the members that map v-bar there
             for i in c.indices:
                 hv = self.family.members[i].image(vbar)
                 self.M.add(hv)
-                self._phi[i][hv] = fz
+                if hv not in own:
+                    own[hv] = {**c.phi, hv: fz}
+                self._phi[i] = own[hv]
         return self
 
     def extend_range_g(self, v):
@@ -407,11 +399,8 @@ class GoodTriple:
         self.g_inv[v] = vbar
         self.M.add(vbar)
         for c in classes:
-            fz = f.preimage(c.phi[c.hmap[v]])
-            for i in c.indices:
-                self._phi[i] = dict(self._phi[i])
-            for i in c.indices:
-                self._phi[i][vbar] = fz
+            # the new value's f-image is the phi value it was taken from
+            c.phi[vbar] = f.preimage(c.phi[c.hmap[v]])
         return self
 
     def extend_phi_range(self, z):
@@ -426,6 +415,7 @@ class GoodTriple:
             m_set = self.family.m_star(self.M) | set(fresh)
             v_c = split_far(self.family, m_set, tau)
             c.phi[v_c] = z
+            self.target.image(z)  # pin f(z) now, so that check() only reads it
             self.M.add(v_c)
             fresh.append(v_c)
         return self

@@ -95,7 +95,7 @@ def _snapshot_file(tmp_path, corrupt=False):
     target.develop(1)
     fam = CompactFamily([identity_oracle(), seeded_oracle({2: 3})])
     t = init(fam, target)
-    t.add_to_m({0} | fam.family_image({0}))
+    t.add_to_m({0} | {h.image(0) for h in fam})
     t.extend_phi_all(0)
     t.extend_domain_g(0)
     for value in sorted({h.image(0) for h in fam}):

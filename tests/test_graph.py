@@ -438,7 +438,7 @@ def _variant(obj, rng):
     ps = [_variant(p, rng) for p in obj["^"]]
     if r < 0.45:
         rng.shuffle(ps)
-    elif r < 0.6:
+    elif r < 0.6 and ps:  # 0 written as a node has no bits to repeat
         ps.append(rng.choice(ps))
     return {"^": ps}
 

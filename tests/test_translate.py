@@ -82,15 +82,6 @@ def test_translate_conjugation_identity():
                 assert c.phi[hv] == t.target.image(c.phi[v])
 
 
-def test_g_image_triggers_extra_round():
-    res = translate(small_family(), build_c0(seed=0), 2)
-    assert 7 not in res.triple.g
-    w = res.g_image(7)
-    assert res.triple.g[7] == w
-    assert res.g_preimage(7) is not None
-    assert res.triple.check() == {"ok": True}
-
-
 def _sha256(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
@@ -101,22 +92,25 @@ def test_translate_artefacts_are_pinned():
     res = translate(small_family(), build_c0(seed=0), 6)
     _, certs = truss_factor(seeded_oracle({2: 3}), 6)
     assert _sha256(res.to_json()) == (
-        "3ca5fdb4376c02f69c1da3a7ee2764e58dac4a3334b9139cc68aeb0d45047b8c")
+        "dd7db5e1202ddf4390edd7e2bf6846bd3f5c51273d9a92b4ba535adce9e0813e")
     assert _sha256(res.triple.to_snapshot()) == (
-        "46284d19cccbc4d9393e2b81d71a995c62fb43185859dcdbf44eb98138cbded0")
+        "ea806843c8172ef6ea9cf9eacd1619966b39cb93f0c5a5c451bb76b9376094a1")
     assert _sha256(certs) == (
-        "d28e03ec640b932ec376fb914c6cf4bdd95bf5760bf2b028b40ef27b70ff24a3")
+        "6e361c6a61894c577d37fbf261c4bf003bf76735bcd5c4acde2f0fea5a2e159b")
 
 
 def test_cached_check_agrees_with_full_check(monkeypatch):
     # after every step, the incremental check() must give the same report as
-    # a full check of the same state, and the full check must query no oracle
-    # point that the incremental one left unbuilt
+    # a full check of the same state; neither may extend the target, and each
+    # restriction class must own its phi dict
     cached_check = GoodTriple.check
     reports = []
 
     def differential(t):
+        target_logged = len(t.target.tasks)
         rep = cached_check(t)
+        assert len(t.target.tasks) == target_logged
+        assert len({id(c.phi) for c in t.classes()}) == len(t.classes())
         oracles = [t.target, *t.family]
         logged = [len(o.tasks) for o in oracles]
         twin = copy.copy(t)

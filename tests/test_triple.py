@@ -34,7 +34,7 @@ def fresh(seed=0, members=None):
 def grown(t=None):
     """Triple with one full even-round of growth at vertex 0."""
     t = t or fresh()
-    t.add_to_m({0} | t.family.family_image({0}))
+    t.add_to_m({0} | {h.image(0) for h in t.family})
     t.extend_phi_all(0)
     t.extend_domain_g(0)
     for value in sorted({h.image(0) for h in t.family}):
@@ -95,7 +95,7 @@ def test_extend_phi_outside_m_rejected():
 
 def test_extend_domain_g():
     t = fresh()
-    t.add_to_m({0} | t.family.family_image({0}))
+    t.add_to_m({0} | {h.image(0) for h in t.family})
     with pytest.raises(PreconditionPhiMissing):
         t.extend_domain_g(0)
     t.extend_phi_all(0)
@@ -125,7 +125,7 @@ def test_full_round_and_range():
 
 def test_monotonicity_across_ops():
     t = fresh()
-    t.add_to_m({0} | t.family.family_image({0}))
+    t.add_to_m({0} | {h.image(0) for h in t.family})
     t.extend_phi_all(0)
     snap_phi = [dict(p) for p in t._phi]
     snap_m = set(t.M)
