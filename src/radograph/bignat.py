@@ -43,6 +43,7 @@ from __future__ import annotations
 import gc
 import weakref
 from bisect import bisect_left
+from functools import partial
 from operator import attrgetter
 
 INT_BIT_LIMIT = 4096
@@ -267,24 +268,28 @@ def vmax(values):
 def min_with_bits_geq(n, constraints):
     """Least natural X >= n with X's bit at p equal to constraints[p] for all p.
 
-    constraints maps canonical positions to 0/1. Only the highest position p
-    where a constraint disagrees with n decides, and one pass over the
-    constraints finds it; with none, X is n. Above the decisive position X
+    constraints maps canonical positions to 0/1 or ``bool``. Only the highest
+    position p where a constraint disagrees with n decides, and one pass over
+    the constraints finds it; with none, X is n. Above the decisive position X
     copies n's bits. If the constraint wants a 1 at p, X is n's bits above p,
     then p, then the wanted ones below p. If it wants a 0, every value that
     copies n above p is below n, so X sets the lowest free zero q above p
     (neither constrained nor set in n) and takes n's bits above q, then q,
     then the wanted ones below q. n's bits are listed only when X keeps some.
+    n's representation is dispatched on once: for a Big, the pass and the
+    free-zero walk test membership in its ``bitset``; for an int, they call
+    ``bit_test``.
     """
+    has = n.bitset.__contains__ if isinstance(n, Big) else partial(bit_test, n)
     top = None
     for p, b in constraints.items():
-        if b != bit_test(n, p) and (top is None or p > top):
+        if b != has(p) and (top is None or p > top):
             top = p
     if top is None:
         return n
     if constraints[top] == 0:
         top = succ(top)
-        while top in constraints or bit_test(n, top):
+        while top in constraints or has(top):
             top = succ(top)
     low = [r for r, b in constraints.items() if b == 1 and r < top]
     return from_bits(_bits_above(n, top) + [top] + low)

@@ -48,7 +48,10 @@ def _parse_tau(text):
     if text:
         for item in text.split(","):
             k, v = item.split(":")
-            tau[canon(int(k))] = int(v)
+            bit = int(v)
+            if bit not in (0, 1):
+                raise ValueError(f"tau value at {k} must be 0 or 1, not {v!r}")
+            tau[canon(int(k))] = bit
     return tau
 
 

@@ -10,7 +10,7 @@ requirements. Every vertex argument is canonical (see ``bignat``).
 from __future__ import annotations
 
 from . import bignat
-from .bignat import Big, succ, vmax
+from .bignat import Big, succ
 from .errors import ImplementationFault
 
 
@@ -50,15 +50,22 @@ def merge_tau(pairs):
 
 def realize(tau, forbidden=(), lower_bound=0):
     """Least vertex v with v > max(dom(tau) + {lower_bound}), v not forbidden,
-    and adjacent(v, w) == tau[w] for every w in dom(tau)."""
-    constraints = {w: (1 if b else 0) for w, b in tau.items()}
-    limit = vmax(list(constraints) + [lower_bound])
-    n = succ(limit)
-    while True:
-        v = bignat.min_with_bits_geq(n, constraints)
-        if v not in forbidden:
-            return v
-        n = succ(v)
+    and adjacent(v, w) == tau[w] for every w in dom(tau).
+
+    tau's values are 0/1 or ``bool``; tau is read as given, not copied. The
+    search starts at the limit max(dom(tau) + {lower_bound}) itself: the
+    kernel's least value >= limit is the least realizer above the limit
+    unless it is the limit, and only then is succ(limit) built and searched
+    from."""
+    limit = max(tau, default=lower_bound)
+    if limit < lower_bound:
+        limit = lower_bound
+    v = bignat.min_with_bits_geq(limit, tau)
+    if v == limit:
+        v = bignat.min_with_bits_geq(succ(limit), tau)
+    while v in forbidden:
+        v = bignat.min_with_bits_geq(succ(v), tau)
+    return v
 
 
 def induced_subgraph(vertices):

@@ -10,6 +10,7 @@ round-robin task queue of fresh-orbit witnesses.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .bignat import canon, decode, decode_map, encode, encode_map, vmax
@@ -275,7 +276,7 @@ class AutomorphismOracle:
             self._serve_witness()
 
     def _serve_witness(self):
-        base = [v for v in self._orbit_of][:9]
+        base = list(itertools.islice(self._orbit_of, 9))
         while True:
             code = self._witness_counter
             self._witness_counter += 1
@@ -410,14 +411,17 @@ class CompactFamily:
         return set(m_set) | self.family_preimage(m_set)
 
     def dK(self, x, y, radius):
-        """Exact distance in the orbit graph if <= radius, else math.inf."""
+        """Exact distance in the orbit graph if <= radius, else math.inf.
+
+        Each BFS layer is walked in sorted order: a miss extends a lazily
+        built member, so the order fixes what it builds."""
         if x == y:
             return 0
         frontier = {x}
         seen = {x}
         for dist in range(1, radius + 1):
             nxt = set()
-            for u in frontier:
+            for u in sorted(frontier):
                 for h in self.members:
                     for w in (h.image(u), h.preimage(u)):
                         if w == y:

@@ -43,6 +43,16 @@ def test_realize_forbid_and_bound(capsys):
     assert rc == 0 and data == {"vertex": 3}
 
 
+@pytest.mark.parametrize("cmd", [
+    ["realize"],
+    ["split", "--family", "id", "--m", "0", "--bound", "1"],
+])
+def test_tau_value_other_than_0_or_1_is_domain_error(capsys, cmd):
+    # realize reads tau's values as given, so the CLI admits only 0 and 1
+    rc, data = run_json(capsys, *cmd, "--tau", "0:2")
+    assert rc == 1 and "0 or 1" in data["error"]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["realize", "--no-such-flag"])

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import radograph
 from radograph import adjacent, realize, induced_subgraph, to_dot
-from radograph import bignat, graph
+from radograph import bignat, graph, oracle
 from radograph.errors import ImplementationFault
-from radograph.oracle import CompactFamily, build_c0, identity_oracle, seeded_oracle
+from radograph.oracle import CompactFamily, build_c0, build_fp, identity_oracle, seeded_oracle
 from radograph.sampler import report, sample
 from radograph.translate import translate, truss_factor, verify
 from radograph.bignat import (
@@ -189,6 +189,70 @@ def test_min_with_bits_matches_sorted_pool(n, cons, own):
         assert got == want
     assert got >= n
     assert all(bit_test(got, p) == bool(b) for p, b in cons.items())
+
+
+def reference_realize(tau, forbidden, lower_bound):
+    """realize before its search started at the limit: a 0/1 copy of tau,
+    vmax of its keys and lower_bound, succ of that, then the kernel loop."""
+    constraints = {w: (1 if b else 0) for w, b in tau.items()}
+    limit = vmax(list(constraints) + [lower_bound])
+    n = succ(limit)
+    while True:
+        v = min_with_bits_geq(n, constraints)
+        if v not in forbidden:
+            return v
+        n = succ(v)
+
+
+@given(
+    tau=st.dictionaries(_naturals, st.booleans() | st.integers(0, 1), max_size=5),
+    lb=_naturals,
+    lb_realizes=st.booleans(),
+    first=st.integers(0, 3),
+    extra=st.sets(_naturals, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_realize_matches_reference_on_bigs(tau, lb, lb_realizes, first, extra):
+    if lb_realizes:
+        # a lower bound that realizes tau: realize must step past its limit
+        lb = reference_realize(tau, (), lb)
+    forbidden = set(extra)
+    w = lb
+    for _ in range(first):
+        # forbid the first realizers above lb
+        w = reference_realize(tau, (), w)
+        forbidden.add(w)
+    got = realize(tau, forbidden, lb)
+    want = reference_realize(tau, forbidden, lb)
+    assert type(got) is type(want)
+    if isinstance(want, Big):
+        assert got is want
+    else:
+        assert got == want
+    assert got > lb and all(got > w for w in tau)
+    assert all(adjacent(got, w) == bool(b) for w, b in tau.items())
+
+
+def test_realize_builds_no_throwaway_successor(monkeypatch):
+    # realize builds succ(limit) only when the limit itself realizes tau:
+    # these 180 realize calls intern 196 new Big nodes, and 334 when every
+    # call built succ(limit) before its first kernel call
+    counts = {"insert": 0, "realize": 0}
+
+    def inserted(node, inner=bignat._insert):
+        counts["insert"] += 1
+        inner(node)
+
+    def realized(*args, inner=graph.realize):
+        counts["realize"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(bignat, "_insert", inserted)
+    monkeypatch.setattr(oracle, "realize", realized)
+    build_fp((0, 1, 0, 1, 1, 0)).develop(6)
+    build_c0(0).develop(6)
+    assert counts["realize"] == 180
+    assert counts["insert"] <= 200
 
 
 def _reference_adjacent(u, v):

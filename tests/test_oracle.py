@@ -111,6 +111,28 @@ def test_dk_two_steps():
     assert fam.dK(5, 1, 5) == 2
 
 
+def test_dk_asks_each_layer_in_ascending_order():
+    # a miss extends a seeded member, so each BFS layer must be walked in a
+    # fixed order; a radius-r run on fresh members logs layers 1..r, so the
+    # entries a run adds over the radius r - 1 run are layer r's
+    def logs(radius):
+        fam = CompactFamily([seeded_oracle({0: 2}), seeded_oracle({0: 5})])
+        assert fam.dK(0, 1 << 20, radius) == math.inf
+        return [[v for _, v in h.tasks] for h in fam]
+
+    prev = logs(0)
+    asked = 0
+    for radius in range(1, 5):
+        cur = logs(radius)
+        for before, after in zip(prev, cur):
+            assert after[:len(before)] == before
+            layer = after[len(before):]
+            assert layer == sorted(layer)
+            asked += len(layer)
+        prev = cur
+    assert asked > 20
+
+
 def test_replay_determinism_seeded():
     o = seeded_oracle(SWAP)
     for v in [2, 9, 14]:
