@@ -327,13 +327,16 @@ def decode(obj):
     accepts unsorted or repeated positions and all-small ones that make an
     ``int``. A non-negative ``int`` of at most ``INT_BIT_LIMIT`` bits is
     returned as it is; any other ``int`` (a bool too) goes through ``canon``.
+    A node costs one call: its canonical ``int`` positions are read inline,
+    and only its other positions recurse.
     """
     if type(obj) is int and obj >= 0 and obj.bit_length() <= INT_BIT_LIMIT:
         return obj
     if isinstance(obj, int):
         return canon(obj)
-    if isinstance(obj, dict) and set(obj) == {"^"}:
-        positions = [decode(p) for p in obj["^"]]
+    if isinstance(obj, dict) and len(obj) == 1 and "^" in obj:
+        positions = [p if type(p) is int and p >= 0 and p.bit_length() <= INT_BIT_LIMIT
+                     else decode(p) for p in obj["^"]]
         entry = _table.get(tuple(positions))
         if entry is not None:
             return entry()

@@ -4,13 +4,15 @@ Vertices are naturals; u and v (u < v) are adjacent exactly when bit u of v
 is set. ``realize`` returns the least fresh vertex with a prescribed
 adjacency pattern towards finitely many existing vertices, and
 ``merge_tau`` is the one place that pattern is assembled from separate
-requirements. Every vertex argument is canonical (see ``bignat``).
+requirements. ``edges`` enumerates the edges among a finite vertex set,
+each at its upper end's bits, with no pairwise scan. Every vertex argument
+is canonical (see ``bignat``).
 """
 
 from __future__ import annotations
 
 from . import bignat
-from .bignat import Big, succ
+from .bignat import INT_BIT_LIMIT, Big, succ
 from .errors import ImplementationFault
 
 
@@ -32,6 +34,32 @@ def adjacent(u, v):
     elif u == v:
         return False
     return u < v.bit_length() and (v >> u) & 1 == 1
+
+
+def edges(vertices):
+    """Yield each edge (u, w) among the finite set ``vertices`` once, u < w.
+
+    An edge is found at its upper end w, whose set bits are its lower
+    neighbours: for a ``Big`` w they are ``w.bitset & vertices``; for an
+    ``int`` w they are the set bits of ``w & mask``, where ``mask`` holds the
+    ``int`` members below ``INT_BIT_LIMIT``. That mask is exact, since no
+    canonical ``int`` has a set bit at or above ``INT_BIT_LIMIT`` and no
+    ``Big`` is a bit of an ``int``."""
+    vertices = set(vertices)
+    mask = 0
+    for u in vertices:
+        if isinstance(u, int) and u < INT_BIT_LIMIT:
+            mask |= 1 << u
+    for w in vertices:
+        if isinstance(w, Big):
+            for u in w.bitset & vertices:
+                yield u, w
+            continue
+        x = w & mask
+        while x:
+            low = x & -x
+            yield low.bit_length() - 1, w
+            x ^= low
 
 
 def merge_tau(pairs):
@@ -81,10 +109,8 @@ def to_dot(vertices, name="radograph"):
     lines = [f"graph {name} {{"]
     for v in vs:
         lines.append(f'  "{labels[v]}";')
-    for i, v in enumerate(vs):
-        for w in vs[i + 1:]:
-            if adjacent(v, w):
-                lines.append(f'  "{labels[v]}" -- "{labels[w]}";')
+    for u, w in sorted(edges(vs)):
+        lines.append(f'  "{labels[u]}" -- "{labels[w]}";')
     lines.append("}")
     return "\n".join(lines)
 

@@ -405,7 +405,8 @@ class CompactFamily:
     def family_preimage(self, m_set):
         """Preimages of m_set under every member, asked in sorted order: a
         miss extends a lazily built member, so the order fixes what it builds."""
-        return {h.preimage(v) for h in self.members for v in sorted(m_set)}
+        order = sorted(m_set)
+        return {h.preimage(v) for h in self.members for v in order}
 
     def m_star(self, m_set):
         return set(m_set) | self.family_preimage(m_set)

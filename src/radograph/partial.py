@@ -6,7 +6,7 @@ from itertools import chain
 
 from .bignat import encode_map
 from .errors import CycleDetected, EdgeViolation, NotInjective
-from .graph import adjacent
+from .graph import adjacent, edges
 
 
 class PartialAutomorphism:
@@ -48,6 +48,15 @@ class PartialAutomorphism:
         The pairs this map shares with it are trusted, so only the other
         pairs are tested, each against every pair; any sub-map of a valid map
         is valid, so the result is exact. Without known every pair is new.
+
+        When no pair is trusted (known empty or sharing nothing with the
+        map), edge preservation is decided by counting, in time near-linear
+        in the map's size and edge count: every edge among the domain must map
+        to an edge, and the range must hold as many edges as the domain. An
+        injective map of the domain's edges into the range's edges is onto
+        once the counts are equal, so non-edges then map to non-edges too.
+        Only when the count says no does the pairwise scan run, to name the
+        same witness it names when some pair is trusted.
         """
         fwd = self._fwd
         known = known or {}
@@ -60,6 +69,11 @@ class PartialAutomorphism:
             if v in seen:
                 return NotInjective(f"{seen[v]!r} and {u!r} both map to {v!r}")
             seen[v] = u
+        if not old:
+            dom_edges = list(edges(fwd))
+            if (all(adjacent(fwd[u], fwd[w]) for u, w in dom_edges)
+                    and len(dom_edges) == sum(1 for _ in edges(seen))):
+                return None
         for i, u in enumerate(new):
             for w in chain(old, new[i + 1:]):
                 if adjacent(u, w) != adjacent(fwd[u], fwd[w]):

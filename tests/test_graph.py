@@ -517,6 +517,10 @@ def test_decode_matches_reference(spec, keep, rng):
     _assert_decodes_like_reference(obj)
 
 
+class _Node(dict):
+    pass
+
+
 def test_decode_matches_reference_on_fixed_inputs():
     x = from_bits([INT_BIT_LIMIT + 1, 3])
     nested = from_bits([from_bits([x, 0]), 2])
@@ -525,6 +529,10 @@ def test_decode_matches_reference_on_fixed_inputs():
         {"^": [1, True]}, {"^": [INT_BIT_LIMIT + 1, False]}, True, False,
         1 << (INT_BIT_LIMIT + 1), {"^": [1 << (INT_BIT_LIMIT + 1)]},
         {"^": [2, 0]}, {"^": []}, *_MALFORMED, None, {"^": [-1]},
+        # the node test: an extra key, a dict subclass, and positions that
+        # are true, negative or an empty node
+        {"^": [encode(x)], "w": []}, _Node({"^": [encode(x), 2]}), _Node({"v": [1]}),
+        {"^": [True, encode(x)]}, {"^": [encode(x), -2]}, {"^": [{"^": []}, 1]},
     ]
     for obj in cases:
         _assert_decodes_like_reference(obj)

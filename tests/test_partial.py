@@ -1,8 +1,15 @@
+import json
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radograph import adjacent, PartialAutomorphism
+from radograph import adjacent, partial, PartialAutomorphism
+from radograph.bignat import INT_BIT_LIMIT, from_bits
 from radograph.errors import CycleDetected, EdgeViolation, NotInjective
+from radograph.graph import edges
+from radograph.oracle import build_c0, seeded_oracle
+from radograph.translate import truss_factor, verify
 
 
 def test_check_frozen_edge_violation():
@@ -105,3 +112,82 @@ def test_check_with_known_tests_new_pairs():
     assert isinstance(err, EdgeViolation)
     # an overwritten known value is no longer trusted
     assert isinstance(PartialAutomorphism({0: 1, 1: 1}).check(known), NotInjective)
+
+
+def reference_check(fwd, known=None):
+    """check() by the pairwise scan alone: every untrusted pair against
+    every pair, with no edge count."""
+    known = known or {}
+    new, old = [], []
+    for u, v in fwd.items():
+        (old if u in known and known[u] == v else new).append(u)
+    seen = {fwd[u]: u for u in old}
+    for u in new:
+        v = fwd[u]
+        if v in seen:
+            return NotInjective(f"{seen[v]!r} and {u!r} both map to {v!r}")
+        seen[v] = u
+    for i, u in enumerate(new):
+        for w in chain(old, new[i + 1:]):
+            if adjacent(u, w) != adjacent(fwd[u], fwd[w]):
+                return EdgeViolation(u, w)
+    return None
+
+
+def _witness(err):
+    if isinstance(err, EdgeViolation):
+        return "edge", err.u, err.v
+    return type(err), str(err)
+
+
+# ints near and above INT_BIT_LIMIT as vertices, ints with a set bit near
+# position INT_BIT_LIMIT, and Bigs whose positions are other pool members
+_B1 = from_bits([INT_BIT_LIMIT, 3])
+_B2 = from_bits([5000, INT_BIT_LIMIT - 1, 1])
+_B3 = from_bits([_B1, INT_BIT_LIMIT, 0])
+_WIDE = [(1 << (INT_BIT_LIMIT - 1)) | 6, (1 << (INT_BIT_LIMIT - 1)) | (1 << 12) | 1,
+         (1 << (INT_BIT_LIMIT - 2)) | 9]
+POOL = [0, 1, 2, 3, 5, 6, 9, 12, INT_BIT_LIMIT - 1, INT_BIT_LIMIT, 5000, *_WIDE,
+        _B1, _B2, _B3, from_bits([_B3, _B1, 5000, 2]), from_bits([_WIDE[0], 12, 0])]
+POOL_MAPS = st.dictionaries(st.sampled_from(POOL), st.sampled_from(POOL), max_size=10)
+
+
+def test_edges_matches_pairwise_adjacency():
+    want = {(u, w) for u in POOL for w in POOL if u < w and adjacent(u, w)}
+    got = list(edges(POOL))
+    assert len(got) == len(want) and set(got) == want
+
+
+@given(POOL_MAPS, POOL_MAPS, st.sampled_from(["raw", "valid", "perturbed"]),
+       st.sampled_from(["none", "sub-map", "other"]), st.data())
+@settings(max_examples=400, deadline=None)
+def test_check_matches_pairwise_reference(m, other, kind, trust, data):
+    if kind != "raw":
+        m = _valid_sub_map(m, list(m))
+    if kind == "perturbed" and m:
+        m[data.draw(st.sampled_from(sorted(m)))] = data.draw(st.sampled_from(POOL))
+    known = {"none": None,
+             "sub-map": _valid_sub_map(m, data.draw(st.permutations(sorted(m)))),
+             "other": _valid_sub_map(other, list(other))}[trust]
+    got = PartialAutomorphism(m).check(known)
+    want = reference_check(m, known)
+    assert (got is None) == (want is None) == _valid(m)
+    if want is not None:
+        assert _witness(got) == _witness(want)
+
+
+def test_full_check_counts_edges_instead_of_scanning_pairs(monkeypatch):
+    calls = []
+    inner = partial.adjacent
+    monkeypatch.setattr(partial, "adjacent", lambda u, v: calls.append(1) or inner(u, v))
+    o = build_c0(0)
+    o.develop(6)
+    core = o.core()
+    assert len(core) == 84
+    assert core.check() is None
+    assert len(calls) <= 300  # a pairwise scan makes 6 972
+    _, certs = truss_factor(seeded_oracle({3: 90}), 8)
+    certs = json.loads(json.dumps(certs))
+    calls.clear()
+    assert all(verify(c)["ok"] for c in certs)
+    assert len(calls) <= 400  # a pairwise scan makes 4 594

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from radograph.bignat import canon
+from radograph import adjacent, realize
+from radograph.bignat import canon, decode_map, encode_map
 from radograph.errors import CertificateError, FiniteOrbitsUnsupported, NotC0Built
+from radograph.graph import edges
 from radograph.oracle import (
     CompactFamily,
     build_c0,
@@ -226,6 +228,24 @@ def test_verify_rejects_mutations():
     bad = copy.deepcopy(cert)
     bad["g"] = bad["g"][1:]  # drop a lookup the checked points rely on
     assert verify(bad)["ok"] is False
+
+
+def test_verify_rejects_phi_sending_a_non_edge_onto_an_edge():
+    # phi stays injective and sends every edge of its domain to an edge, so
+    # only the edge count of its range shows the one non-edge sent onto an edge
+    _, certs = truss_factor(seeded_oracle({0: 2}), 8)
+    cert = certs[-1]
+    phi = decode_map(cert["phi"])
+    x, z = next((x, z) for x in phi for z in phi if x != z and not adjacent(x, z))
+    tau = {phi[w]: adjacent(x, w) or w == z for w in phi if w != x}
+    bad_phi = {**phi, x: realize(tau, forbidden=set(phi.values()))}
+    assert len(set(bad_phi.values())) == len(bad_phi)
+    assert all(adjacent(bad_phi[u], bad_phi[w]) for u, w in edges(bad_phi))
+    bad = copy.deepcopy(cert)
+    bad["phi"] = encode_map(bad_phi)
+    rep = verify(bad)
+    assert rep["ok"] is False
+    assert rep["reason"].startswith("phi is not a partial automorphism: EdgeViolation(")
 
 
 def test_verify_rejects_malformed():
