@@ -15,11 +15,11 @@ so never hold more entries than there are live ``Big`` values.
 
 Every vertex passed inside ``radograph`` is canonical: an ``int`` of at
 most ``INT_BIT_LIMIT`` bits, else a ``Big``. ``canon`` establishes this once,
-where a value enters: in this module (``canon``, ``decode``, ``succ``'s int
-step, ``nat_cmp``'s raw-int compare), in the CLI's integer arguments, and in
-the oracle constructors (the ``build_fp``/``build_c0`` seed and the
-``seeded_oracle`` pairs), which ``replay`` reaches with raw JSON seeds. No
-other function re-checks its arguments.
+where a value enters: in this module (``canon``, ``decode``, ``succ``'s step
+out of the int range, ``nat_cmp``'s raw-int compare), in the CLI's integer
+arguments, and in the oracle constructors (the ``build_fp``/``build_c0``
+seed and the ``seeded_oracle`` pairs), which ``replay`` reaches with raw JSON
+seeds. No other function re-checks its arguments.
 
 Naturals compare with Python's own operators: ``<``, ``sorted``, ``min`` and
 ``max`` order any mix of canonical ints and ``Big`` values (an int on the
@@ -239,9 +239,11 @@ def from_bits(positions):
 
 
 def succ(x):
-    """x + 1."""
+    """x + 1. An int successor is checked for width inline; only the step
+    from 2**INT_BIT_LIMIT - 1 goes through ``canon``."""
     if isinstance(x, int):
-        return canon(x + 1)
+        y = x + 1
+        return y if y.bit_length() <= INT_BIT_LIMIT else canon(y)
     bs = set(x.bits)
     k = 0
     while k in bs:
@@ -265,31 +267,44 @@ def vmax(values):
     return max(values)
 
 
-def min_with_bits_geq(n, constraints):
-    """Least natural X >= n with X's bit at p equal to constraints[p] for all p.
+def min_with_bits_geq(n, constraints, zeros=()):
+    """Least natural X >= n with X's bit at p equal to constraints[p] for all
+    p in dom(constraints), and 0 for all p in ``zeros`` outside it.
 
-    constraints maps canonical positions to 0/1 or ``bool``. Only the highest
-    position p where a constraint disagrees with n decides, and one pass over
-    the constraints finds it; with none, X is n. Above the decisive position X
-    copies n's bits. If the constraint wants a 1 at p, X is n's bits above p,
-    then p, then the wanted ones below p. If it wants a 0, every value that
-    copies n above p is below n, so X sets the lowest free zero q above p
-    (neither constrained nor set in n) and takes n's bits above q, then q,
-    then the wanted ones below q. n's bits are listed only when X keeps some.
-    n's representation is dispatched on once: for a Big, the pass and the
-    free-zero walk test membership in its ``bitset``; for an int, they call
-    ``bit_test``.
+    constraints maps canonical positions to 0/1 or ``bool``; ``zeros`` is a
+    container of canonical positions (a set or dict is tested by hash) that
+    stand for default zeros, so a sparse type need not list them. Only the
+    highest position p where the combined map disagrees with n decides; with
+    none, X is n. It is the higher of two candidates: the highest
+    disagreeing constraint, found in one pass over constraints, and the
+    highest of n's bits that lies in ``zeros`` but not in constraints, found
+    by walking n's bits downwards until the first candidate is reached.
+    Above the decisive position X copies n's bits. If the map wants a 1 at p,
+    X is n's bits above p, then p, then the wanted ones below p. If it wants
+    a 0, every value that copies n above p is below n, so X sets the lowest
+    free zero q above p (neither constrained, nor in ``zeros``, nor set in n)
+    and takes n's bits above q, then q, then the wanted ones below q. n's
+    bits are listed only when X keeps some. n's representation is dispatched
+    on once: for a Big, the pass and the free-zero walk test membership in
+    its ``bitset``; for an int, they call ``bit_test``.
     """
     has = n.bitset.__contains__ if isinstance(n, Big) else partial(bit_test, n)
     top = None
     for p, b in constraints.items():
         if b != has(p) and (top is None or p > top):
             top = p
+    if zeros:
+        for p in bits_desc(n):
+            if top is not None and not p > top:
+                break
+            if p in zeros and p not in constraints:
+                top = p
+                break
     if top is None:
         return n
-    if constraints[top] == 0:
+    if constraints.get(top, 0) == 0:
         top = succ(top)
-        while top in constraints or has(top):
+        while top in constraints or top in zeros or has(top):
             top = succ(top)
     low = [r for r, b in constraints.items() if b == 1 and r < top]
     return from_bits(_bits_above(n, top) + [top] + low)

@@ -2,7 +2,8 @@
 
 Vertices are naturals; u and v (u < v) are adjacent exactly when bit u of v
 is set. ``realize`` returns the least fresh vertex with a prescribed
-adjacency pattern towards finitely many existing vertices, and
+adjacency pattern towards finitely many existing vertices (its ones and
+explicit zeros, over an optional set of default zeros), and
 ``merge_tau`` is the one place that pattern is assembled from separate
 requirements. ``edges`` enumerates the edges among a finite vertex set,
 each at its upper end's bits, with no pairwise scan. Every vertex argument
@@ -76,23 +77,27 @@ def merge_tau(pairs):
     return tau
 
 
-def realize(tau, forbidden=(), lower_bound=0):
+def realize(tau, forbidden=(), lower_bound=0, zeros=()):
     """Least vertex v with v > max(dom(tau) + {lower_bound}), v not forbidden,
-    and adjacent(v, w) == tau[w] for every w in dom(tau).
+    adjacent(v, w) == tau[w] for every w in dom(tau), and v not adjacent to
+    any w in ``zeros`` outside dom(tau).
 
-    tau's values are 0/1 or ``bool``; tau is read as given, not copied. The
-    search starts at the limit max(dom(tau) + {lower_bound}) itself: the
-    kernel's least value >= limit is the least realizer above the limit
-    unless it is the limit, and only then is succ(limit) built and searched
-    from."""
+    tau's values are 0/1 or ``bool``; tau is read as given, not copied.
+    ``zeros`` lets a caller that already holds a set of default non-neighbours
+    pass it instead of listing each one in tau: every member of ``zeros``
+    must be at most ``lower_bound``, so the limit is computed from tau and
+    the lower bound alone. The search starts at the limit
+    max(dom(tau) + {lower_bound}) itself: the kernel's least value >= limit
+    is the least realizer above the limit unless it is the limit, and only
+    then is succ(limit) built and searched from."""
     limit = max(tau, default=lower_bound)
     if limit < lower_bound:
         limit = lower_bound
-    v = bignat.min_with_bits_geq(limit, tau)
+    v = bignat.min_with_bits_geq(limit, tau, zeros)
     if v == limit:
-        v = bignat.min_with_bits_geq(succ(limit), tau)
+        v = bignat.min_with_bits_geq(succ(limit), tau, zeros)
     while v in forbidden:
-        v = bignat.min_with_bits_geq(succ(v), tau)
+        v = bignat.min_with_bits_geq(succ(v), tau, zeros)
     return v
 
 

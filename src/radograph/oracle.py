@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 
-from .bignat import canon, decode, decode_map, encode, encode_map, vmax
+from .bignat import bits_desc, canon, decode, decode_map, encode, encode_map, vmax
 from .errors import (
     ConstructionConflict,
+    ImplementationFault,
     NotConstructed,
     UntouchedVertex,
 )
-from .graph import adjacent, merge_tau, realize
+from .graph import merge_tau, realize
 from .partial import PartialAutomorphism
 
 STAR = "(*)"
@@ -48,6 +49,7 @@ class AutomorphismOracle:
         self._witness_counter = 1
         self._touch_cursor = 0
         self._max = 0            # largest vertex stored or touched
+        self._held_with = {}     # bit position -> held vertices with that bit
 
         if kind == "seeded":
             core = PartialAutomorphism(seed_pairs or ())
@@ -80,6 +82,10 @@ class AutomorphismOracle:
         return PartialAutomorphism(self._fwd)
 
     def _store(self, u, v):
+        if self.kind == "seeded":
+            for w in (u, v):
+                if w not in self._fwd and w not in self._bwd:
+                    self._hold(w)
         self._fwd[u] = v
         self._bwd[v] = u
         self._max = vmax([self._max, u, v])
@@ -116,16 +122,36 @@ class AutomorphismOracle:
             return self._bwd[v]
         return self._extend_preimage(v)
 
+    def _hold(self, v):
+        """Enter v, a vertex new to this oracle, in the neighbour index
+        ``_held_with``: bit position -> the held vertices with that bit.
+
+        The held vertices are the touched ones of a constructed oracle and
+        dom f and ran f of a seeded one. The index's scope is one oracle, it
+        needs no invalidation because held vertices only grow, and its
+        memory is bounded by the total set bits of those vertices."""
+        for p in bits_desc(v):
+            self._held_with.setdefault(p, []).append(v)
+
+    def _neighbours(self, v, among):
+        """The members of ``among``, a set of held vertices, adjacent to v,
+        found with no pairwise scan: the lower neighbours are v's bits in
+        ``among``, the upper ones the index entry at v filtered the same
+        way."""
+        lower = [p for p in bits_desc(v) if p in among]
+        return lower + [w for w in self._held_with.get(v, ()) if w in among]
+
     def _extend_image(self, v):
-        # new value w must satisfy w R f(x) <-> v R x for every stored pair
-        tau = {fx: 1 if adjacent(x, v) else 0 for x, fx in self._fwd.items()}
-        w = realize(tau, (), vmax([self._max, v]))
+        # new value w must satisfy w R f(x) <-> v R x for every stored pair;
+        # ran f is the default-zero set
+        ones = dict.fromkeys((self._fwd[x] for x in self._neighbours(v, self._fwd)), 1)
+        w = realize(ones, (), vmax([self._max, v]), self._bwd)
         self._store(v, w)
         return w
 
     def _extend_preimage(self, v):
-        tau = {x: 1 if adjacent(v, fx) else 0 for x, fx in self._fwd.items()}
-        u = realize(tau, (), vmax([self._max, v]))
+        ones = dict.fromkeys((self._bwd[y] for y in self._neighbours(v, self._bwd)), 1)
+        u = realize(ones, (), vmax([self._max, v]), self._fwd)
         self._store(u, v)
         return u
 
@@ -150,18 +176,29 @@ class AutomorphismOracle:
         self._orbit_of[v] = oid
         self._reps.append(v)
         self._max = vmax([self._max, v])
+        self._hold(v)
         return oid
 
     def _fresh_point(self, pairs):
         """Least vertex above everything stored or touched that meets the
         (w, bit) requirements and has no edge to any other touched vertex.
 
-        realize does not depend on the key order of its type, so the
-        touched-vertex default is laid down first and the merged
-        requirements over it."""
-        tau = dict.fromkeys(self._orbit_of, 0)
-        tau.update(merge_tau(pairs))
-        return realize(tau, (), self._max)
+        The requirements are merged into a sparse type, and the touched
+        vertices are passed to realize as its default zeros, not listed."""
+        return realize(merge_tau(pairs), (), self._max, self._orbit_of)
+
+    def _with_core(self, required, core, ones):
+        """The non-core ``required`` pairs plus a 1 at each of ``ones``.
+
+        The core asks a bit of every vertex in ``core`` (ran f forward,
+        dom f backward): 1 exactly at ``ones``, 0 elsewhere, which the
+        caller passes as default zeros instead of listing. So each non-core
+        requirement at a core vertex is compared with the core's bit here,
+        and a mismatch is the clash merge_tau would have named."""
+        for w, bit in required:
+            if w in core and (w in ones) != bool(bit):
+                raise ImplementationFault(f"adjacency requirements clash at {w!r}")
+        return required + [(w, 1) for w in ones]
 
     def _extend_forward(self, oid):
         chain = self._chains[oid]
@@ -176,11 +213,12 @@ class AutomorphismOracle:
             required.append((u, bit))
         for x in self._constraints.get(oid, ()):
             required.append((x, 0))
-        for x, fx in self._fwd.items():
-            required.append((fx, adjacent(x, last)))
-        new = self._fresh_point(required)
+        # new R f(x) <-> last R x for every x in dom f
+        ones = dict.fromkeys(self._fwd[x] for x in self._neighbours(last, self._fwd))
+        new = self._fresh_point(self._with_core(required, self._bwd, ones))
         chain.append(new)
         self._orbit_of[new] = oid
+        self._hold(new)
         self._store(last, new)
         self._pending.pop(last, None)
         return new
@@ -193,11 +231,12 @@ class AutomorphismOracle:
             required.append((u, self._pattern_bit(j + 1)))
         for x in self._constraints.get(oid, ()):
             required.append((x, 0))
-        for x, fx in self._fwd.items():
-            required.append((x, adjacent(first, fx)))
-        new = self._fresh_point(required)
+        # new R x <-> first R f(x) for every x in dom f
+        ones = dict.fromkeys(self._bwd[y] for y in self._neighbours(first, self._bwd))
+        new = self._fresh_point(self._with_core(required, self._fwd, ones))
         chain.insert(0, new)
         self._orbit_of[new] = oid
+        self._hold(new)
         self._store(new, first)
         return new
 

@@ -233,6 +233,71 @@ def test_realize_matches_reference_on_bigs(tau, lb, lb_realizes, first, extra):
     assert all(adjacent(got, w) == bool(b) for w, b in tau.items())
 
 
+def _with_overlap(zeros, picks, flags):
+    """zeros plus each of picks whose flag is set: a default-zero set that
+    overlaps the ones, the explicit zeros or n's bits."""
+    zeros = set(zeros)
+    zeros.update(p for p, take in zip(picks, flags) if take)
+    return zeros
+
+
+def _same_natural(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Big):
+        assert got is want
+    else:
+        assert got == want
+
+
+@given(
+    n=_naturals,
+    cons=st.dictionaries(_positions, st.integers(0, 1) | st.booleans(), max_size=6),
+    own=st.lists(st.booleans(), max_size=6),
+    zeros=st.sets(_positions, max_size=6),
+    from_n=st.lists(st.booleans(), max_size=8),
+    from_cons=st.lists(st.booleans(), max_size=8),
+    as_dict=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_sparse_kernel_matches_dense_expansion(n, cons, own, zeros, from_n, from_cons,
+                                               as_dict):
+    # zeros is read as 0 outside dom(cons): the kernel on the expansion
+    # {**dict.fromkeys(zeros, 0), **cons} is the reference
+    for p, b in zip(bits_desc(n), own):
+        cons.setdefault(p, int(b))
+    zeros = _with_overlap(zeros, bits_desc(n) + list(cons), from_n + from_cons)
+    dense = {**dict.fromkeys(zeros, 0), **cons}
+    got = min_with_bits_geq(n, cons, dict.fromkeys(zeros) if as_dict else zeros)
+    _same_natural(got, min_with_bits_geq(n, dense))
+    _same_natural(got, sorted_pool_min_with_bits(n, dense))
+
+
+@given(
+    tau=st.dictionaries(_naturals, st.booleans() | st.integers(0, 1), max_size=5),
+    lb=_naturals,
+    zeros=st.sets(_naturals | _positions, max_size=5),
+    from_tau=st.lists(st.booleans(), max_size=5),
+    from_lb=st.lists(st.booleans(), max_size=6),
+    first=st.integers(0, 3),
+    extra=st.sets(_naturals, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_sparse_realize_matches_reference(tau, lb, zeros, from_tau, from_lb, first, extra):
+    # every member of zeros is at most lower_bound, as realize requires
+    zeros = _with_overlap(zeros, list(tau) + bits_desc(lb), from_tau + from_lb)
+    lb = vmax([lb, *zeros])
+    dense = {**dict.fromkeys(zeros, 0), **tau}
+    forbidden = set(extra)
+    w = lb
+    for _ in range(first):
+        w = reference_realize(dense, (), w)
+        forbidden.add(w)
+    got = realize(tau, forbidden, lb, zeros)
+    _same_natural(got, reference_realize(dense, forbidden, lb))
+    _same_natural(got, realize(dense, forbidden, lb))
+    assert all(adjacent(got, w) == bool(dense[w]) for w in dense)
+
+
 def test_realize_builds_no_throwaway_successor(monkeypatch):
     # realize builds succ(limit) only when the limit itself realizes tau:
     # these 180 realize calls intern 196 new Big nodes, and 334 when every
