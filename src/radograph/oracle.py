@@ -304,6 +304,8 @@ class AutomorphismOracle:
         """One or more scheduler rounds: touch the least fresh natural, grow
         every orbit one step in each direction, then serve one witness task."""
         self._require_constructed()
+        if rounds < 0:
+            raise ValueError(f"rounds must be non-negative, not {rounds}")
         self.tasks.append(["develop", rounds])
         for _ in range(rounds):
             while self._touch_cursor in self._orbit_of:

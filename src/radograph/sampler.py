@@ -22,7 +22,9 @@ _CHOICES = 16
 def _pick(rng, fwd, anchor, allow_cycles, forward):
     """Partner for anchor: tau forces edge preservation against the whole
     core; candidates are existing qualifying vertices (cycle closers, only
-    with allow_cycles) followed by fresh realizers."""
+    with allow_cycles) followed by fresh realizers in ascending order, at
+    least _CHOICES in all. The index is drawn first, and only the realizers
+    up to it are built."""
     if forward:
         tau = {fwd[u]: adjacent(anchor, u) for u in fwd}
         taken = set(fwd.values())
@@ -35,18 +37,21 @@ def _pick(rng, fwd, anchor, allow_cycles, forward):
         for w in sorted(rd - taken):
             if w != anchor and all(adjacent(w, u) == bool(b) for u, b in tau.items()):
                 cands.append(w)
+    k = rng.randrange(max(len(cands), _CHOICES))
     # realize returns the least realizer above lower_bound, so stepping
     # from the previous candidate lists the realizers in ascending order
     forbidden = rd | {anchor}
     w = 0
-    while len(cands) < _CHOICES:
+    while len(cands) <= k:
         w = realize(tau, forbidden, w)
         cands.append(w)
-    return cands[rng.randrange(len(cands))]
+    return cands[k]
 
 
 def sample(seed, depth, allow_cycles=False):
     """Random back-and-forth automorphism core of the given depth."""
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, not {depth}")
     rng = random.Random(seed)
     fwd = {}
     bwd = {}
@@ -118,6 +123,8 @@ def _witness_found(o, a_set, b_set, cap=4):
 
 def report(o, trials, seed=0):
     """Exploratory statistics for an oracle's core."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, not {trials}")
     core = o.core()
     paths = core.orbit_paths()
     chains = sum(1 for p in paths if p["kind"] == "path")

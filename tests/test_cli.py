@@ -203,6 +203,16 @@ def test_sample_command(capsys):
     assert data["report"]["exploratory"] is True
 
 
+@pytest.mark.parametrize("cmd", [
+    ("sample", "--depth", "-3"),
+    ("sample", "--depth", "2", "--trials", "-2"),
+    ("build-c0", "--depth", "-2"),
+])
+def test_negative_count_is_domain_error(capsys, cmd):
+    rc, data = run_json(capsys, *cmd)
+    assert rc == 1 and "non-negative" in data["error"]
+
+
 def test_export_dot(capsys):
     rc, data = run_json(capsys, "export-dot", "--m", "0,1,3")
     assert rc == 0

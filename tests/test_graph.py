@@ -680,6 +680,9 @@ def test_sample_canonicalizes_at_the_boundary(monkeypatch):
         for s in range(4):
             report(sample(s, 8), 10, seed=s)
 
+    # a fixed ceiling for this fixed run, not a share of adjacent calls, which
+    # fall whenever the sampler does less work: 64 canon calls and 178
+    # adjacent calls here
     calls = _counted_calls(monkeypatch, run)
-    assert calls["canon"] < calls["adjacent"]
+    assert calls["canon"] <= 100
     assert calls["nat_cmp"] == 0

@@ -281,6 +281,17 @@ def test_replay_constructed_exact():
     assert copy.to_json()["core"] == o.to_json()["core"]
 
 
+def test_negative_develop_is_rejected_before_logging():
+    o = build_c0(seed=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        o.develop(-1)
+    assert o.tasks == []
+    log = build_c0(seed=0).to_json()
+    log["tasks"] = [["develop", 1], ["develop", -1]]
+    with pytest.raises(ValueError, match="non-negative"):
+        replay(log)
+
+
 def test_task_log_encoded_only_by_to_json(monkeypatch):
     def refuse(v):
         raise AssertionError("task log encoded before to_json")

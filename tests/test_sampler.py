@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import radograph
 from radograph import bignat, oracle, sampler
+from radograph.graph import adjacent, realize
 from radograph.sampler import SAMPLING_RULE, report, sample
 
 
@@ -95,6 +98,73 @@ def test_realizers_walked_once(monkeypatch):
         report(sample(s, 8), 10, seed=s)
     assert calls["realize"] > 0
     assert calls["min"] <= 2 * calls["realize"]
+
+
+def reference_pick(rng, fwd, anchor, allow_cycles, forward):
+    """The eager pick: enumerate every candidate, then draw."""
+    if forward:
+        tau = {fwd[u]: adjacent(anchor, u) for u in fwd}
+        taken = set(fwd.values())
+    else:
+        tau = {u: adjacent(anchor, fwd[u]) for u in fwd}
+        taken = set(fwd)
+    rd = set(fwd) | set(fwd.values())
+    cands = []
+    if allow_cycles:
+        for w in sorted(rd - taken):
+            if w != anchor and all(adjacent(w, u) == bool(b) for u, b in tau.items()):
+                cands.append(w)
+    forbidden = rd | {anchor}
+    w = 0
+    while len(cands) < 16:
+        w = realize(tau, forbidden, w)
+        cands.append(w)
+    return cands[rng.randrange(len(cands))]
+
+
+@pytest.mark.parametrize("allow_cycles", [False, True])
+def test_lazy_pick_matches_reference(monkeypatch, allow_cycles):
+    # every pick of sample(seed, 11) is checked, so the cores seen are the
+    # ones sample builds at depths 0..10, in both directions
+    lazy = sampler._pick
+    picks = []
+
+    def checked(rng, fwd, anchor, allow_cycles, forward):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        want = reference_pick(twin, fwd, anchor, allow_cycles, forward)
+        got = lazy(rng, fwd, anchor, allow_cycles, forward)
+        assert got == want
+        assert rng.getstate() == twin.getstate()
+        picks.append(got)
+        return got
+
+    monkeypatch.setattr(sampler, "_pick", checked)
+    for seed in range(41):
+        sample(seed, 11, allow_cycles)
+    assert len(picks) == 41 * 11
+
+
+def test_sample_builds_only_the_drawn_realizers(monkeypatch):
+    # the eager pick built 16 realizers per step: 512 calls for this run
+    calls = []
+    inner = sampler.realize
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(sampler, "realize", counted)
+    for s in range(4):
+        sample(s, 8)
+    assert 0 < len(calls) <= 400
+
+
+def test_negative_depth_or_trials_is_rejected():
+    with pytest.raises(ValueError, match="depth"):
+        sample(0, -3)
+    with pytest.raises(ValueError, match="trials"):
+        report(sample(0, 2), -2)
 
 
 def test_report_json_labeled_exploratory():
