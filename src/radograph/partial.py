@@ -41,44 +41,10 @@ class PartialAutomorphism:
     def pairs(self):
         return sorted(self._fwd.items())
 
-    def check(self, known=None):
-        """Return None if valid, else the violation as an exception instance.
-
-        known, if given, is a map already known to be a partial automorphism.
-        The pairs this map shares with it are trusted, so only the other
-        pairs are tested, each against every pair; any sub-map of a valid map
-        is valid, so the result is exact. Without known every pair is new.
-
-        When no pair is trusted (known empty or sharing nothing with the
-        map), edge preservation is decided by counting, in time near-linear
-        in the map's size and edge count: every edge among the domain must map
-        to an edge, and the range must hold as many edges as the domain. An
-        injective map of the domain's edges into the range's edges is onto
-        once the counts are equal, so non-edges then map to non-edges too.
-        Only when the count says no does the pairwise scan run, to name the
-        same witness it names when some pair is trusted.
-        """
-        fwd = self._fwd
-        known = known or {}
-        new, old = [], []
-        for u, v in fwd.items():
-            (old if u in known and known[u] == v else new).append(u)
-        seen = {fwd[u]: u for u in old}
-        for u in new:
-            v = fwd[u]
-            if v in seen:
-                return NotInjective(f"{seen[v]!r} and {u!r} both map to {v!r}")
-            seen[v] = u
-        if not old:
-            dom_edges = list(edges(fwd))
-            if (all(adjacent(fwd[u], fwd[w]) for u, w in dom_edges)
-                    and len(dom_edges) == sum(1 for _ in edges(seen))):
-                return None
-        for i, u in enumerate(new):
-            for w in chain(old, new[i + 1:]):
-                if adjacent(u, w) != adjacent(fwd[u], fwd[w]):
-                    return EdgeViolation(u, w)
-        return None
+    def check(self):
+        """Return None if valid, else the violation as an exception instance:
+        extension_error with every pair new."""
+        return extension_error((), list(self._fwd.items()), {})
 
     def backward_end(self, v):
         """Follow the map backward from v until it leaves the range."""
@@ -130,3 +96,39 @@ class PartialAutomorphism:
 
     def to_json(self):
         return {"pairs": encode_map(self._fwd)}
+
+
+def extension_error(old, new, inv):
+    """Return None if the pairs old + new form a partial automorphism, else
+    the violation as an exception instance.
+
+    old must already form one, and inv map each of its values to its key.
+    Its pairs are trusted, so only the new pairs are tested, each against
+    every pair; any sub-map of a valid map is valid, so the result is exact.
+    new is a list of pairs with distinct keys, none of them a key of old.
+
+    When old is empty, edge preservation is decided by counting, in time
+    near-linear in the map's size and edge count: every edge among the domain
+    must map to an edge, and the range must hold as many edges as the domain.
+    An injective map of the domain's edges into the range's edges is onto
+    once the counts are equal, so non-edges then map to non-edges too. Only
+    when the count says no does the pairwise scan run, to name the same
+    witness it names when some pair is trusted.
+    """
+    seen = {}
+    for u, v in new:
+        w = inv.get(v, seen.get(v))
+        if w is not None:
+            return NotInjective(f"{w!r} and {u!r} both map to {v!r}")
+        seen[v] = u
+    if not old:
+        fwd = dict(new)
+        dom_edges = list(edges(fwd))
+        if (all(adjacent(fwd[u], fwd[w]) for u, w in dom_edges)
+                and len(dom_edges) == sum(1 for _ in edges(seen))):
+            return None
+    for i, (u, v) in enumerate(new):
+        for w, x in chain(old, new[i + 1:]):
+            if adjacent(u, w) != adjacent(v, x):
+                return EdgeViolation(u, w)
+    return None

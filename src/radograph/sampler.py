@@ -9,7 +9,6 @@ is claimed for this choice; reports are labeled exploratory.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .graph import adjacent, realize
 from .oracle import seeded_oracle
@@ -73,13 +72,16 @@ def sample(seed, depth, allow_cycles=False):
     return o
 
 
-@dataclass
 class SampleReport:
-    seed: object
-    depth: int
-    orbit_chain_count: int
-    closed_cycle_count: int
-    witness_success_rate: object
+    __slots__ = ("seed", "depth", "orbit_chain_count", "closed_cycle_count",
+                 "witness_success_rate")
+
+    def __init__(self, seed, depth, orbit_chain_count, closed_cycle_count,
+                 witness_success_rate):
+        self.seed, self.depth = seed, depth
+        self.orbit_chain_count = orbit_chain_count
+        self.closed_cycle_count = closed_cycle_count
+        self.witness_success_rate = witness_success_rate
 
     def to_json(self):
         return {

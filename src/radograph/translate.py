@@ -3,15 +3,16 @@ back-and-forth conjugator, and factorization certificates.
 
 Odd rounds pull one more target orbit into every phi-range; even rounds
 ingest the least natural into both dom(g) and ran(g). Every extension step
-is followed by the ten-condition check, which re-tests condition (i) only
-for the pairs the step added and derives the class views once per state;
-everything is logged to a trace so the schedule promises can be audited
-afterwards.
+is followed by the ten-condition check, on class views that classes() keeps
+up to date rather than derives again. The check re-tests only what the step
+added: the new pairs of g, of each phi and of each h o g, and the points of
+M* that a new phi key pulls back or that are new. It runs in full for the
+first check of a triple, and after a failed check or an overwritten or
+dropped pair (see the triple module). Everything is logged to a trace so the
+schedule promises can be audited afterwards.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .bignat import decode, decode_map, encode, encode_map
 from .errors import (
@@ -26,11 +27,11 @@ from .partial import PartialAutomorphism
 from .triple import GoodTriple
 
 
-@dataclass
 class TranslationResult:
-    triple: GoodTriple
-    trace: list
-    steps_run: int
+    __slots__ = ("triple", "trace", "steps_run")
+
+    def __init__(self, triple, trace, steps_run):
+        self.triple, self.trace, self.steps_run = triple, trace, steps_run
 
     def checks_passed(self):
         return sum(1 for e in self.trace if e.get("check", {}).get("ok"))
@@ -114,6 +115,8 @@ def _odd_round(t, trace, round_no):
 
 def translate(family, target, steps):
     """Run the scheduled construction for the given number of rounds."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, not {steps}")
     t = GoodTriple(family, target)
     trace = []
     trace.append({"round": 0, "parity": "init", "op": "init", "arg": None,
@@ -132,6 +135,8 @@ def translate(family, target, steps):
 def conjugate_c0(f, fp, depth):
     """Finite partial conjugation phi with phi(f(v)) = fp(phi(v)) wherever
     both sides are built, via the orbit-pairing back-and-forth."""
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, not {depth}")
     for o in (f, fp):
         if getattr(o, "kind", None) != "c0":
             raise NotC0Built("both oracles must come from build_c0")
@@ -210,6 +215,8 @@ def truss_factor(h, steps, target=None):
     i.e. that g and h o g both act like f up to conjugation at every
     checked point. The target is encoded once: the certificates share one
     f_ref object."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, not {steps}")
     if h.declared_finite_orbits:
         raise FiniteOrbitsUnsupported("h must not declare finite orbits")
     members = [identity_oracle()]

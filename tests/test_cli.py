@@ -132,6 +132,23 @@ def test_good_check_planted_violation(capsys, tmp_path):
     assert data["error"]["condition"] == "(iv)"
 
 
+def test_good_check_reports_a_big_witness_as_json(capsys, tmp_path):
+    # dropping the largest phi key, a Big, of the first class leaves a point
+    # of h o g without phi: condition (ii) names it, encoded, and the CLI
+    # prints its JSON error instead of failing to write a Big
+    res = translate(CompactFamily([identity_oracle(), seeded_oracle({2: 3})]),
+                    build_c0(seed=0), 8)
+    snap = json.loads(json.dumps(res.triple.to_snapshot()))
+    pairs = snap["phi"][0]["map"]
+    assert isinstance(pairs[-1][0], dict)  # encode_map lists keys ascending
+    del pairs[-1]
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(snap))
+    rc, data = run_json(capsys, "good-check", "--snapshot", str(path))
+    assert rc == 1
+    assert data["error"]["condition"] == "(ii)"
+
+
 @pytest.mark.parametrize("key, value", [
     ("g", 5),
     ("phi", 5),
@@ -207,6 +224,9 @@ def test_sample_command(capsys):
     ("sample", "--depth", "-3"),
     ("sample", "--depth", "2", "--trials", "-2"),
     ("build-c0", "--depth", "-2"),
+    ("translate", "--family", "id", "--family", "pairs:0-1", "--steps", "-3"),
+    ("truss", "--h", "pairs:3-90", "--steps", "-2"),
+    ("conjugate-c0", "--seed-a", "0", "--seed-b", "1", "--depth", "-2"),
 ])
 def test_negative_count_is_domain_error(capsys, cmd):
     rc, data = run_json(capsys, *cmd)

@@ -8,7 +8,7 @@ import re
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import radograph
 from radograph import adjacent, realize, induced_subgraph, to_dot
@@ -167,6 +167,9 @@ _positions = _int_positions | _bigs | _nested_bigs
 _wide_ints = (st.integers(1 << (INT_BIT_LIMIT - 2), (1 << INT_BIT_LIMIT) - 1)
               | st.builds(lambda low: (1 << (INT_BIT_LIMIT - 1)) | low, st.integers(0, 1 << 40)))
 _naturals = st.integers(0, 1 << 16) | _wide_ints | _bigs | _nested_bigs
+# Shrinking a counterexample over these 4 096-bit ints and nested Bigs takes
+# minutes, so the differentials over _naturals report the first one as found.
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 @given(
@@ -174,7 +177,7 @@ _naturals = st.integers(0, 1 << 16) | _wide_ints | _bigs | _nested_bigs
     cons=st.dictionaries(_positions, st.integers(0, 1), max_size=8),
     own=st.lists(st.booleans(), max_size=8),
 )
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, phases=_NO_SHRINK)
 def test_min_with_bits_matches_sorted_pool(n, cons, own):
     # constraints on n's own top bits: the pool walk then passes positions
     # that agree with n before it reaches the decisive one
@@ -211,7 +214,7 @@ def reference_realize(tau, forbidden, lower_bound):
     first=st.integers(0, 3),
     extra=st.sets(_naturals, max_size=3),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
 def test_realize_matches_reference_on_bigs(tau, lb, lb_realizes, first, extra):
     if lb_realizes:
         # a lower bound that realizes tau: realize must step past its limit
@@ -258,7 +261,7 @@ def _same_natural(got, want):
     from_cons=st.lists(st.booleans(), max_size=8),
     as_dict=st.booleans(),
 )
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, phases=_NO_SHRINK)
 def test_sparse_kernel_matches_dense_expansion(n, cons, own, zeros, from_n, from_cons,
                                                as_dict):
     # zeros is read as 0 outside dom(cons): the kernel on the expansion
@@ -281,7 +284,7 @@ def test_sparse_kernel_matches_dense_expansion(n, cons, own, zeros, from_n, from
     first=st.integers(0, 3),
     extra=st.sets(_naturals, max_size=3),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
 def test_sparse_realize_matches_reference(tau, lb, zeros, from_tau, from_lb, first, extra):
     # every member of zeros is at most lower_bound, as realize requires
     zeros = _with_overlap(zeros, list(tau) + bits_desc(lb), from_tau + from_lb)

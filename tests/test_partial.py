@@ -9,6 +9,7 @@ from radograph.bignat import INT_BIT_LIMIT, from_bits
 from radograph.errors import CycleDetected, EdgeViolation, NotInjective
 from radograph.graph import edges
 from radograph.oracle import build_c0, seeded_oracle
+from radograph.partial import extension_error
 from radograph.translate import truss_factor, verify
 
 
@@ -81,6 +82,16 @@ def _valid_sub_map(m, keys):
     return known
 
 
+def _check(m, known=None):
+    """extension_error on m, trusting the pairs m shares with the valid map
+    known: those go first, as old, and the others follow, as new, each list
+    in m's order."""
+    known = known or {}
+    old = [(u, v) for u, v in m.items() if u in known and known[u] == v]
+    new = [(u, v) for u, v in m.items() if not (u in known and known[u] == v)]
+    return extension_error(old, new, {v: u for u, v in old})
+
+
 MAPS = st.dictionaries(st.integers(0, 30), st.integers(0, 30), max_size=8)
 
 
@@ -91,7 +102,7 @@ def test_check_agrees_with_direct_quantifiers(m, data):
     assert (p.check() is None) == _valid(m)
     keys = data.draw(st.lists(st.sampled_from(sorted(m)), unique=True) if m
                      else st.just([]))
-    assert (p.check(_valid_sub_map(m, keys)) is None) == _valid(m)
+    assert (_check(m, _valid_sub_map(m, keys)) is None) == _valid(m)
 
 
 @given(MAPS, MAPS)
@@ -100,22 +111,22 @@ def test_check_trusts_only_pairs_shared_with_known(m, other):
     # known is valid but need not be a sub-map: a value it holds may have
     # been overwritten since, and such a pair is tested again
     known = _valid_sub_map(other, list(other))
-    assert (PartialAutomorphism(m).check(known) is None) == _valid(m)
+    assert (_check(m, known) is None) == _valid(m)
 
 
 def test_check_with_known_tests_new_pairs():
     known = {0: 0, 1: 1}
-    assert PartialAutomorphism({0: 0, 1: 1, 2: 2}).check(known) is None
-    err = PartialAutomorphism({0: 0, 1: 1, 2: 1}).check(known)
+    assert _check({0: 0, 1: 1, 2: 2}, known) is None
+    err = _check({0: 0, 1: 1, 2: 1}, known)
     assert isinstance(err, NotInjective)
-    err = PartialAutomorphism({0: 0, 1: 1, 4: 6}).check(known)
+    err = _check({0: 0, 1: 1, 4: 6}, known)
     assert isinstance(err, EdgeViolation)
     # an overwritten known value is no longer trusted
-    assert isinstance(PartialAutomorphism({0: 1, 1: 1}).check(known), NotInjective)
+    assert isinstance(_check({0: 1, 1: 1}, known), NotInjective)
 
 
 def reference_check(fwd, known=None):
-    """check() by the pairwise scan alone: every untrusted pair against
+    """extension_error by the pairwise scan alone: every untrusted pair against
     every pair, with no edge count."""
     known = known or {}
     new, old = [], []
@@ -169,7 +180,7 @@ def test_check_matches_pairwise_reference(m, other, kind, trust, data):
     known = {"none": None,
              "sub-map": _valid_sub_map(m, data.draw(st.permutations(sorted(m)))),
              "other": _valid_sub_map(other, list(other))}[trust]
-    got = PartialAutomorphism(m).check(known)
+    got = _check(m, known) if known is not None else PartialAutomorphism(m).check()
     want = reference_check(m, known)
     assert (got is None) == (want is None) == _valid(m)
     if want is not None:

@@ -1,3 +1,6 @@
+import copy
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,7 +20,8 @@ from radograph.oracle import (
     replay,
     seeded_oracle,
 )
-from radograph.triple import GoodTriple, _chain_ids, init
+from radograph import triple
+from radograph.triple import BadSituation, GoodTriple, _join, _root, init
 
 from naive_checker import _components, _has_cycle
 
@@ -172,8 +176,8 @@ def test_planted_phi_corruption_detected():
     assert rep["ok"] is False
 
 
-def test_planted_bad_situation_found():
-    # hand-build phi maps that disagree on the edge clause, bypassing checks
+def planted_bad():
+    """Hand-built phi maps that disagree on the edge clause, bypassing checks."""
     t = fresh(members=[identity_oracle(), seeded_oracle({0: 1})])
     t.add_to_m({0, 1, 4})
     for v in (0, 1, 4):
@@ -186,10 +190,186 @@ def test_planted_bad_situation_found():
     # an edge between phi(0) and f(phi(4)) only on the identity side
     x_new = f.star_witness({f.image(c1.phi[4]): 1}, "(*)0")
     c1.phi[0] = x_new
+    return t
+
+
+def test_planted_bad_situation_found():
+    t = planted_bad()
     bad = t.find_bad(t.classes())
     assert any(b.x == 0 and b.y == 4 for b in bad)
     rep = t.check()
     assert rep["ok"] is False
+
+
+def test_planted_bad_situation_report_is_json():
+    rep = planted_bad().check()
+    assert rep["ok"] is False
+    assert json.loads(json.dumps(rep)) == rep
+
+
+def _two_classes(m_points, defined):
+    """A triple over {id, seeded_oracle({0: 5})} with M = m_points, phi of the
+    identity class defined at defined[0] and of the other at defined[1], each
+    point through extend_phi and a green check."""
+    t = fresh(members=[identity_oracle(), seeded_oracle({0: 5})])
+    t.add_to_m(m_points)
+    classes = t.classes()
+    assert [c.hmap[0] for c in classes] == [0, 5]
+    for cls, vertices in zip(classes, defined):
+        for v in vertices:
+            t.extend_phi(classes, cls, v)
+            assert t.check() == {"ok": True}
+    return t, classes
+
+
+def _plant_ugly():
+    # x = 0 and y = h(0) = 5 in the identity class, 5 not yet in the other:
+    # after a green check, phi(0) is planted as a new key with the type
+    # towards phi(5) that (i) asks, but adjacent to f(phi(5))
+    t, (cid, _) = _two_classes({0, 5}, [(5,), ()])
+    f = t.target
+    z = f.star_witness({cid.phi[5]: adjacent(0, 5), f.image(cid.phi[5]): 1}, "(*)0")
+    f.image(z)
+    cid.phi[0] = z
+    return t
+
+
+def _plant_bad():
+    # x = 0 and x' = h(0) = 5, y = 1 in both classes: after a green check,
+    # phi(0) is planted as a new key with the type towards phi(1) that (i)
+    # asks, but with the edge to f(phi(1)) that the other class does not have
+    t, (cid, ch) = _two_classes({0, 1, 5}, [(1,), (5, 1)])
+    f = t.target
+    rhs = adjacent(ch.phi[5], f.image(ch.phi[1]))
+    z = f.star_witness({cid.phi[1]: adjacent(0, 1), f.image(cid.phi[1]): not rhs}, "(*)0")
+    f.image(z)
+    cid.phi[0] = z
+    return t
+
+
+def test_ugly_report_is_json():
+    rep = _plant_ugly().check()
+    assert rep["condition"] == "(ix)"
+    assert json.loads(json.dumps(rep))["witness"] == {"h": 0, "hp": 1, "x": 0, "y": 5}
+
+
+def test_bad_report_is_json():
+    rep = _plant_bad().check()
+    assert rep["condition"] == "(x)"
+    assert json.loads(json.dumps(rep))["witness"] == {"h": 0, "hp": 1, "x": 0, "xp": 5, "y": 1}
+
+
+def test_detectors_on_their_own_see_what_an_incremental_check_drops(monkeypatch):
+    # find_bad and find_ugly called outside check() test every situation of
+    # the state, whatever the last check covered; so a final-state test on
+    # them still fails when the incremental pairs of check() drop a situation
+    pairs = triple._pairs
+    monkeypatch.setattr(triple, "_pairs", lambda classes, full: (
+        pairs(classes, True) if full else []))
+    t = _plant_ugly()
+    assert t.check() == {"ok": True}  # the mutant's check misses it
+    assert [u.to_json() for u in t.find_ugly(t.classes())] == [
+        {"h": 0, "hp": 1, "x": 0, "y": 5}]
+    t = _plant_bad()
+    assert t.check() == {"ok": True}
+    assert [b.to_json() for b in t.find_bad(t.classes())] == [
+        {"h": 0, "hp": 1, "x": 0, "xp": 5, "y": 1}, {"h": 1, "hp": 0, "x": 5, "xp": 0, "y": 1}]
+
+
+def test_new_phi_key_in_the_orbit_of_another_chain_fails_v():
+    # 0 and 2 are not adjacent, and no two points of one build_c0 orbit are,
+    # so phi = {0: z, 2: f(z)} passes (i); but 0 and 2 lie on no common
+    # hg-chain, so their values must not share an orbit. The first check
+    # covers {0: z}, so the second tests 2 as a new key.
+    t = fresh(members=[identity_oracle()])
+    t.add_to_m({0, 2})
+    t.extend_phi_all(0)
+    assert t.check() == {"ok": True}
+    c = t.classes()[0]
+    c.phi[2] = t.target.image(c.phi[0])
+    assert t.check() == {"ok": False, "condition": "(v)", "witness": 2}
+
+
+def test_bad_situation_at_an_old_x_and_a_new_y_found():
+    # x = 0 and x' = h(0) = 5 are checked first; then phi of the other class
+    # gains y = 1 with the edge to f^-1(phi(5)) that makes the two sides of
+    # the bad clause differ. Only the new key is y, so the check must find
+    # the x it saw before.
+    t, (cid, ch) = _two_classes({0, 1, 5}, [(0, 1), (5,)])
+    f = t.target
+    lhs = adjacent(cid.phi[0], f.image(cid.phi[1]))
+    tau = {pw: adjacent(1, w) for w, pw in ch.phi.items()}
+    tau[f.preimage(ch.phi[5])] = not lhs
+    ch.phi[1] = f.star_witness(tau, "(*)0")
+    f.image(ch.phi[1])
+    rep = t.check()
+    assert rep["condition"] == "(x)"
+    assert rep["witness"]["y"] == 1
+
+
+def test_check_after_a_failed_check_starts_over(monkeypatch):
+    # a check that fails late, after it has joined the new pairs of hg into
+    # its chains, must not leave them joined for the next check
+    t = grown()
+    assert t.check() == {"ok": True}
+    t.add_to_m({1} | {h.image(1) for h in t.family})
+    t.extend_phi_all(1)
+    t.extend_domain_g(1)
+    with monkeypatch.context() as m:
+        m.setattr(GoodTriple, "find_bad", lambda self, classes: [BadSituation(0, 1, 0, 0, 0)])
+        assert t.check()["condition"] == "(x)"
+    assert t.check() == {"ok": True}
+
+
+def _unsplit():
+    """A green-checked triple in which members 1 and 2 form one class: both
+    seeded maps send 256 to 257's partner alike, so they agree on M*; they
+    part at 0."""
+    t = fresh(members=[identity_oracle(), seeded_oracle({2: 3}),
+                       seeded_oracle({2: 3, 128: 129})])
+    t.add_to_m({256} | {h.image(256) for h in t.family})
+    for v in sorted(t.M):
+        t.extend_phi_all(v)
+    assert [c.indices for c in t.classes()] == [[0], [1, 2]]
+    assert t.check() == {"ok": True}
+    return t
+
+
+@pytest.mark.parametrize("kind, condition", [
+    ("overwritten phi pair", "(i)"),
+    ("overwritten g pair", "(i)"),
+    ("dropped phi key", "(ii)"),
+    ("class split through add_to_m", "(i)"),
+    ("member with its own phi slot", "(vi)"),
+])
+def test_planted_fault_after_a_green_check(kind, condition):
+    # each fault goes into a state whose every pair the last check covered;
+    # the next check must report it as a full check of the same state does,
+    # with the condition a check from scratch has always named
+    t = _unsplit() if kind in ("class split through add_to_m",
+                               "member with its own phi slot") else grown()
+    assert t.check() == {"ok": True}
+    c = t.classes()[-1]
+    a, b = list(c.phi)[:2]
+    if kind == "overwritten phi pair":
+        c.phi[a] = c.phi[b]
+    elif kind == "overwritten g pair":
+        a, b = list(t.g)[:2]
+        t.g[a] = t.g[b]
+    elif kind == "dropped phi key":
+        del c.phi[[w for w in c.phi if w in c.hg][-1]]
+    elif kind == "class split through add_to_m":
+        c.phi[b] = c.phi[a]  # a covered pair of the class that splits next
+        t.add_to_m({0})
+        assert len(t.classes()) == 3
+    else:
+        t._phi[c.indices[-1]] = dict(c.phi)
+    twin = copy.copy(t)
+    twin._phi = list(t._phi)
+    twin._reset_caches()
+    rep = t.check()
+    assert rep["condition"] == condition
+    assert rep == twin.check()
 
 
 def test_overwritten_phi_value_fails_i():
@@ -280,12 +460,16 @@ def injective_maps(draw):
 @example(({3: 5, 5: 8, 1: 2}, {1, 2, 3, 5, 8, 61}))
 @settings(max_examples=300, deadline=None)
 def test_chain_ids_match_naive_walk(case):
+    # the chains as check() builds them for (v) and (vii): hg's pairs joined
+    # one by one, a join within one chain closing a cycle
     hg, phi_dom = case
-    ids = _chain_ids(hg, phi_dom)
+    links = {}
+    closed = not all(_join(links, v, w) for v, w in hg.items())
     if _has_cycle(hg):
-        assert ids is None
+        assert closed
         return
-    assert ids is not None and set(ids) == phi_dom
+    assert not closed
+    ids = {w: _root(links, w) for w in phi_dom}
     comp = _components(list(hg.items()), sorted(phi_dom))
     for a in phi_dom:
         for b in phi_dom:
