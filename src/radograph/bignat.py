@@ -3,8 +3,12 @@
 Vertices produced by iterated least-realizer constructions have bit positions
 that are themselves astronomical, so a plain ``int`` representation explodes.
 A natural is held either as a plain ``int`` (when its bit length stays at or
-below ``INT_BIT_LIMIT``) or as a :class:`Big`: the descending tuple of its set
-bit positions, each position again a natural in the same representation.
+below ``INT_BIT_LIMIT``) or as a :class:`Big`: the frozenset of its set bit
+positions, each position again a natural in the same representation, which
+also keeps those positions as a descending tuple. A ``Big`` is its own
+bitset, so bit membership and hashing run at C level; the hash is
+frozenset's, cached in the object and derived from the positions' hashes
+alone, so it depends neither on ``PYTHONHASHSEED`` nor on memory addresses.
 
 ``Big`` values are hash-consed: two equal values are the same object. Every
 live ``Big`` also carries an integer order label, and labels are ordered as
@@ -31,10 +35,10 @@ through ``nat_cmp``. A label is read at compare time and may change when the
 list is relabelled, so no sort key is cached.
 
 Only the operations the graph model needs are provided: total order,
-successor, bit tests, and the minimal value >= N whose bits agree with a
-finite 0/1 constraint map. ``encode``/``decode`` give the JSON form of one
-natural; ``encode_map``/``decode_map`` are the one place that knows the
-JSON form of a finite vertex map. ``decode`` asks the intern table for each
+successor, bit tests, and the minimal value >= N (or > N) whose bits agree
+with a finite 0/1 constraint map. ``encode``/``decode`` give the JSON form
+of one natural; ``encode_map``/``decode_map`` are the one place that knows
+the JSON form of a finite vertex map. ``decode`` asks the intern table for each
 node before building it, so decoding a live value returns it as it is.
 """
 
@@ -43,7 +47,6 @@ from __future__ import annotations
 import gc
 import weakref
 from bisect import bisect_left
-from functools import partial
 from operator import attrgetter
 
 INT_BIT_LIMIT = 4096
@@ -82,13 +85,7 @@ def _insert(node):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        lo, hi = 0, len(_order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _order[mid].bits < bits:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(_order, bits, key=attrgetter("bits"))
         below = _order[lo - 1].label if lo else 0
         above = _order[lo].label if lo < len(_order) else _LABEL_SPACE
         entry = _Entry(node, _forget)
@@ -106,32 +103,36 @@ def _insert(node):
             gc.enable()
 
 
-class Big:
-    """A natural stored as its set of bit positions, sorted descending.
+class Big(frozenset):
+    """A natural stored as the frozenset of its set bit positions; ``bits``
+    holds the same positions sorted descending.
+
+    ``p in v`` tests bit p of v, and ``hash(v)`` is frozenset's: computed at
+    C level, cached, and a function of the value alone (see the module
+    docstring). The set operators are frozenset's and return plain
+    frozensets; ``==`` and the order are those of the naturals.
 
     Interned: ``Big(bits)`` returns the live instance with these bits if
     there is one, so equal values are identical. ``_label`` is the value's
     place in the order of all live ``Big`` values (see the module docstring).
     """
 
-    __slots__ = ("bits", "bitset", "_hash", "_label", "__weakref__")
+    __slots__ = ("bits", "_label")  # a frozenset takes weak references
+    # defining __eq__ would otherwise unset the hash; != is __eq__'s inverse
+    __hash__ = frozenset.__hash__
+    __ne__ = object.__ne__
 
     def __new__(cls, bits):
         entry = _table.get(bits)
         if entry is not None:
             return entry()
-        self = object.__new__(cls)
+        self = frozenset.__new__(cls, bits)
         self.bits = bits  # tuple, descending, canonical naturals
-        self.bitset = frozenset(bits)
-        self._hash = hash(bits)
         _insert(self)
         return self
 
     def __reduce__(self):
         return Big, (self.bits,)
-
-    def __hash__(self):
-        return self._hash
 
     def __eq__(self, other):
         if isinstance(other, Big):
@@ -240,17 +241,16 @@ def from_bits(positions):
 
 def succ(x):
     """x + 1. An int successor is checked for width inline; only the step
-    from 2**INT_BIT_LIMIT - 1 goes through ``canon``."""
+    from 2**INT_BIT_LIMIT - 1 goes through ``canon``. A Big's trailing run
+    of set bits 0, 1, ..., k - 1 is cut off its tuple and k put in its place."""
     if isinstance(x, int):
         y = x + 1
         return y if y.bit_length() <= INT_BIT_LIMIT else canon(y)
-    bs = set(x.bits)
+    bits = x.bits
     k = 0
-    while k in bs:
-        bs.discard(k)
+    while k < len(bits) and bits[-1 - k] == k:
         k += 1
-    bs.add(k)
-    return from_bits(bs)
+    return Big(bits[:len(bits) - k] + (k,))
 
 
 def bit_test(x, p):
@@ -259,7 +259,7 @@ def bit_test(x, p):
         if isinstance(p, int):
             return bool((x >> p) & 1) if p < x.bit_length() else False
         return False  # canonical int < 2**INT_BIT_LIMIT <= 2**p
-    return p in x.bitset
+    return p in x
 
 
 def vmax(values):
@@ -267,61 +267,67 @@ def vmax(values):
     return max(values)
 
 
-def min_with_bits_geq(n, constraints, zeros=()):
-    """Least natural X >= n with X's bit at p equal to constraints[p] for all
-    p in dom(constraints), and 0 for all p in ``zeros`` outside it.
+def min_with_bits_geq(n, constraints, zeros=(), strict=False):
+    """Least natural X >= n, or X > n with ``strict``, with X's bit at p equal
+    to constraints[p] for all p in dom(constraints), and 0 for all p in
+    ``zeros`` outside it.
 
     constraints maps canonical positions to 0/1 or ``bool``; ``zeros`` is a
     container of canonical positions (a set or dict is tested by hash) that
     stand for default zeros, so a sparse type need not list them. Only the
-    highest position p where the combined map disagrees with n decides; with
-    none, X is n. It is the higher of two candidates: the highest
-    disagreeing constraint, found in one pass over constraints, and the
-    highest of n's bits that lies in ``zeros`` but not in constraints, found
-    by walking n's bits downwards until the first candidate is reached.
-    Above the decisive position X copies n's bits. If the map wants a 1 at p,
-    X is n's bits above p, then p, then the wanted ones below p. If it wants
-    a 0, every value that copies n above p is below n, so X sets the lowest
-    free zero q above p (neither constrained, nor in ``zeros``, nor set in n)
-    and takes n's bits above q, then q, then the wanted ones below q. n's
-    bits are listed only when X keeps some. n's representation is dispatched
-    on once: for a Big, the pass and the free-zero walk test membership in
-    its ``bitset``; for an int, they call ``bit_test``.
+    highest position p where the combined map disagrees with n decides. It
+    is the higher of two candidates: the highest disagreeing constraint,
+    found in one pass over constraints, and the highest of n's bits that
+    lies in ``zeros`` but not in constraints, found by walking n's bits
+    downwards until the first candidate is reached. Above the decisive
+    position X copies n's bits. If the map wants a 1 at p, X is n's bits
+    above p, then p, then the wanted ones below p. If it wants a 0, every
+    value that copies n above p is below n, so X sets the lowest free zero q
+    above p (neither constrained, nor in ``zeros``, nor set in n) and takes
+    n's bits above q, then q, then the wanted ones below q. With no
+    disagreement X is n, or with ``strict`` the same search for a free zero
+    starts at position 0, which is succ(n)'s search done in one pass.
+
+    n's bits are tested by membership: a Big is its own bitset, and an int's
+    bits are listed once into a frozenset. X is built from its descending
+    bits directly, as an int by shifts and ORs when its top bit is below
+    ``INT_BIT_LIMIT``, else as ``Big(tuple)``.
     """
-    has = n.bitset.__contains__ if isinstance(n, Big) else partial(bit_test, n)
+    if isinstance(n, Big):
+        nbits, nset = n.bits, n
+    else:
+        nbits = bits_desc(n)
+        nset = frozenset(nbits)
     top = None
     for p, b in constraints.items():
-        if b != has(p) and (top is None or p > top):
+        if b != (p in nset) and (top is None or p > top):
             top = p
     if zeros:
-        for p in bits_desc(n):
+        for p in nbits:
             if top is not None and not p > top:
                 break
             if p in zeros and p not in constraints:
                 top = p
                 break
-    if top is None:
+    if top is None and not strict:
         return n
-    if constraints.get(top, 0) == 0:
-        top = succ(top)
-        while top in constraints or top in zeros or has(top):
+    if top is None or constraints.get(top, 0) == 0:
+        top = 0 if top is None else succ(top)
+        while top in constraints or top in zeros or top in nset:
             top = succ(top)
     low = [r for r, b in constraints.items() if b == 1 and r < top]
-    return from_bits(_bits_above(n, top) + [top] + low)
-
-
-def _bits_above(n, p):
-    """Set bit positions of n above position p, descending."""
-    if isinstance(n, Big):
-        high = []
-        for q in n.bits:
-            if not q > p:
-                break
-            high.append(q)
-        return high
-    if p >= n.bit_length():  # also when p is a Big
-        return []
-    return bits_desc(n >> (p + 1) << (p + 1))
+    if isinstance(n, int) and top < INT_BIT_LIMIT:
+        x = n >> (top + 1) << (top + 1) | 1 << top
+        for r in low:
+            x |= 1 << r
+        return x
+    low.sort(reverse=True)
+    high = []  # n's bits above top
+    for p in nbits:
+        if not p > top:
+            break
+        high.append(p)
+    return Big((*high, top, *low))
 
 
 def encode(v):

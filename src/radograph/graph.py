@@ -3,17 +3,17 @@
 Vertices are naturals; u and v (u < v) are adjacent exactly when bit u of v
 is set. ``realize`` returns the least fresh vertex with a prescribed
 adjacency pattern towards finitely many existing vertices (its ones and
-explicit zeros, over an optional set of default zeros), and
-``merge_tau`` is the one place that pattern is assembled from separate
-requirements. ``edges`` enumerates the edges among a finite vertex set,
-each at its upper end's bits, with no pairwise scan. Every vertex argument
-is canonical (see ``bignat``).
+explicit zeros, over an optional set of default zeros), in one kernel pass
+per candidate, and ``merge_tau`` is the one place that pattern is assembled
+from separate requirements. ``edges`` enumerates the edges among a finite
+vertex set, each at its upper end's bits, with no pairwise scan. Every
+vertex argument is canonical (see ``bignat``).
 """
 
 from __future__ import annotations
 
 from . import bignat
-from .bignat import INT_BIT_LIMIT, Big, succ
+from .bignat import INT_BIT_LIMIT, Big
 from .errors import ImplementationFault
 
 
@@ -26,10 +26,10 @@ def adjacent(u, v):
         if isinstance(v, Big):
             if u is v:
                 return False
-            return v in u.bitset if u._label > v._label else u in v.bitset
-        return v in u.bitset
+            return v in u if u._label > v._label else u in v
+        return v in u
     if isinstance(v, Big):
-        return u in v.bitset
+        return u in v
     if u > v:
         u, v = v, u
     elif u == v:
@@ -41,7 +41,7 @@ def edges(vertices):
     """Yield each edge (u, w) among the finite set ``vertices`` once, u < w.
 
     An edge is found at its upper end w, whose set bits are its lower
-    neighbours: for a ``Big`` w they are ``w.bitset & vertices``; for an
+    neighbours: for a ``Big`` w they are ``w & vertices``; for an
     ``int`` w they are the set bits of ``w & mask``, where ``mask`` holds the
     ``int`` members below ``INT_BIT_LIMIT``. That mask is exact, since no
     canonical ``int`` has a set bit at or above ``INT_BIT_LIMIT`` and no
@@ -53,7 +53,7 @@ def edges(vertices):
             mask |= 1 << u
     for w in vertices:
         if isinstance(w, Big):
-            for u in w.bitset & vertices:
+            for u in w & vertices:
                 yield u, w
             continue
         x = w & mask
@@ -86,25 +86,16 @@ def realize(tau, forbidden=(), lower_bound=0, zeros=()):
     ``zeros`` lets a caller that already holds a set of default non-neighbours
     pass it instead of listing each one in tau: every member of ``zeros``
     must be at most ``lower_bound``, so the limit is computed from tau and
-    the lower bound alone. The search starts at the limit
-    max(dom(tau) + {lower_bound}) itself: the kernel's least value >= limit
-    is the least realizer above the limit unless it is the limit, and only
-    then is succ(limit) built and searched from."""
+    the lower bound alone. Each realizer is one strict kernel call, the least
+    value above the limit max(dom(tau) + {lower_bound}) that realizes tau,
+    and each forbidden hit one more, from the hit."""
     limit = max(tau, default=lower_bound)
     if limit < lower_bound:
         limit = lower_bound
-    v = bignat.min_with_bits_geq(limit, tau, zeros)
-    if v == limit:
-        v = bignat.min_with_bits_geq(succ(limit), tau, zeros)
+    v = bignat.min_with_bits_geq(limit, tau, zeros, strict=True)
     while v in forbidden:
-        v = bignat.min_with_bits_geq(succ(v), tau, zeros)
+        v = bignat.min_with_bits_geq(v, tau, zeros, strict=True)
     return v
-
-
-def induced_subgraph(vertices):
-    """Adjacency map restricted to the given finite vertex set."""
-    vs = sorted(set(vertices))
-    return {v: [w for w in vs if adjacent(v, w)] for v in vs}
 
 
 def to_dot(vertices, name="radograph"):

@@ -11,7 +11,6 @@ round-robin task queue of fresh-orbit witnesses.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .bignat import bits_desc, canon, decode, decode_map, encode, encode_map, vmax
 from .errors import (
@@ -451,28 +450,3 @@ class CompactFamily:
 
     def m_star(self, m_set):
         return set(m_set) | self.family_preimage(m_set)
-
-    def dK(self, x, y, radius):
-        """Exact distance in the orbit graph if <= radius, else math.inf.
-
-        Each BFS layer is walked in sorted order: a miss extends a lazily
-        built member, so the order fixes what it builds."""
-        if x == y:
-            return 0
-        frontier = {x}
-        seen = {x}
-        for dist in range(1, radius + 1):
-            nxt = set()
-            for u in sorted(frontier):
-                for h in self.members:
-                    for w in (h.image(u), h.preimage(u)):
-                        if w == y:
-                            return dist
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.add(w)
-            frontier = nxt
-            if not frontier:
-                break
-        return math.inf
-

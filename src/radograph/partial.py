@@ -107,13 +107,17 @@ def extension_error(old, new, inv):
     every pair; any sub-map of a valid map is valid, so the result is exact.
     new is a list of pairs with distinct keys, none of them a key of old.
 
+    The witness of a failed edge test is canonical: of the violating pairs
+    of the list old + new, the one whose earlier member comes first, then
+    whose later member does, named earlier key first. Trusting a prefix of
+    a map thus changes what is tested, never the witness named.
+
     When old is empty, edge preservation is decided by counting, in time
     near-linear in the map's size and edge count: every edge among the domain
     must map to an edge, and the range must hold as many edges as the domain.
     An injective map of the domain's edges into the range's edges is onto
     once the counts are equal, so non-edges then map to non-edges too. Only
-    when the count says no does the pairwise scan run, to name the same
-    witness it names when some pair is trusted.
+    when the count says no does the pairwise scan run, to name the witness.
     """
     seen = {}
     for u, v in new:
@@ -127,8 +131,9 @@ def extension_error(old, new, inv):
         if (all(adjacent(fwd[u], fwd[w]) for u, w in dom_edges)
                 and len(dom_edges) == sum(1 for _ in edges(seen))):
             return None
-    for i, (u, v) in enumerate(new):
-        for w, x in chain(old, new[i + 1:]):
+    k = len(old)
+    for i, (u, v) in enumerate(chain(old, new)):
+        for w, x in new[max(i + 1 - k, 0):]:
             if adjacent(u, w) != adjacent(v, x):
                 return EdgeViolation(u, w)
     return None

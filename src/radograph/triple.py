@@ -555,7 +555,3 @@ def _join(links, v, w):
         return False
     links[rw] = rv
     return True
-
-
-def init(family, target):
-    return GoodTriple(family, target)

@@ -6,7 +6,13 @@ re-evaluated here by exhaustive loops written straight from its finite
 definition, over the plain snapshot data plus live replayed oracles for
 ground-truth image/orbit queries. Returns ALL violated condition names, not
 just the first.
+
+It also holds two test oracles the package does not need: the bounded
+orbit-graph distance ``dK`` of a compact family, against which
+``split_far``'s radius claim is tested, and ``induced_subgraph``.
 """
+
+import math
 
 from radograph.bignat import decode
 from radograph.errors import RadographError
@@ -193,3 +199,35 @@ def violated_conditions(snapshot, members, target):
                         if fy is not None and adjacent(phi[x], fy):
                             out.add("(ix)")
     return out
+
+
+def dK(family, x, y, radius):
+    """Exact distance from x to y in the orbit graph of the family's members
+    if <= radius, else math.inf.
+
+    Each BFS layer is walked in sorted order: a miss extends a lazily built
+    member, so the order fixes what it builds."""
+    if x == y:
+        return 0
+    frontier = {x}
+    seen = {x}
+    for dist in range(1, radius + 1):
+        nxt = set()
+        for u in sorted(frontier):
+            for h in family.members:
+                for w in (h.image(u), h.preimage(u)):
+                    if w == y:
+                        return dist
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.add(w)
+        frontier = nxt
+        if not frontier:
+            break
+    return math.inf
+
+
+def induced_subgraph(vertices):
+    """Adjacency map restricted to the given finite vertex set."""
+    vs = sorted(set(vertices))
+    return {v: [w for w in vs if adjacent(v, w)] for v in vs}

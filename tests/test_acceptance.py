@@ -25,7 +25,7 @@ from radograph.splitting import split, split_far
 from radograph.translate import translate, truss_factor, verify
 from radograph.triple import GoodTriple
 
-from naive_checker import violated_conditions
+from naive_checker import dK, violated_conditions
 
 
 def _scan(tau, forbidden, bound):
@@ -102,7 +102,7 @@ def test_criterion_2_splitting_soundness():
         if i % 10 == 0 and len(members) <= 2:
             w = split_far(fam, m_set, tau)
             for m in m_set:
-                assert fam.dK(w, m, 4) > 4
+                assert dK(fam, w, m, 4) > 4
             far_checks += 1
     elapsed = time.monotonic() - start
     assert far_checks >= 10

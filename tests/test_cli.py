@@ -7,7 +7,7 @@ import pytest
 from radograph.cli import main, parse_oracle_spec
 from radograph.oracle import CompactFamily, build_c0, identity_oracle, replay, seeded_oracle
 from radograph.translate import translate, truss_factor
-from radograph.triple import init
+from radograph.triple import GoodTriple
 
 
 def run(capsys, *argv):
@@ -104,7 +104,7 @@ def _snapshot_file(tmp_path, corrupt=False):
     target = build_c0(seed=0)
     target.develop(1)
     fam = CompactFamily([identity_oracle(), seeded_oracle({2: 3})])
-    t = init(fam, target)
+    t = GoodTriple(fam, target)
     t.add_to_m({0} | {h.image(0) for h in fam})
     t.extend_phi_all(0)
     t.extend_domain_g(0)

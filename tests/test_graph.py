@@ -11,7 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import radograph
-from radograph import adjacent, realize, induced_subgraph, to_dot
+from radograph import adjacent, realize, to_dot
 from radograph import bignat, graph, oracle
 from radograph.errors import ImplementationFault
 from radograph.oracle import CompactFamily, build_c0, build_fp, identity_oracle, seeded_oracle
@@ -33,6 +33,8 @@ from radograph.bignat import (
     min_with_bits_geq,
     INT_BIT_LIMIT,
 )
+
+from naive_checker import induced_subgraph
 
 
 def brute_realize(tau, forbidden, lower_bound):
@@ -276,6 +278,27 @@ def test_sparse_kernel_matches_dense_expansion(n, cons, own, zeros, from_n, from
 
 
 @given(
+    n=_naturals,
+    cons=st.dictionaries(_positions, st.integers(0, 1) | st.booleans(), max_size=6),
+    own=st.lists(st.booleans(), max_size=6),
+    zeros=st.sets(_positions, max_size=4),
+    agree=st.booleans(),
+)
+@settings(max_examples=400, deadline=None, phases=_NO_SHRINK)
+def test_strict_kernel_matches_kernel_from_successor(n, cons, own, zeros, agree):
+    # strict=True is the least value above n: the kernel from succ(n), in one
+    # pass; agree moves n to a value that already realizes the map, the case
+    # realize meets at every step from a previous realizer
+    for p, b in zip(bits_desc(n), own):
+        cons.setdefault(p, int(b))
+    if agree:
+        n = min_with_bits_geq(n, cons, zeros)
+    got = min_with_bits_geq(n, cons, zeros, strict=True)
+    _same_natural(got, min_with_bits_geq(succ(n), cons, zeros))
+    assert got > n
+
+
+@given(
     tau=st.dictionaries(_naturals, st.booleans() | st.integers(0, 1), max_size=5),
     lb=_naturals,
     zeros=st.sets(_naturals | _positions, max_size=5),
@@ -497,6 +520,22 @@ def test_equal_big_values_are_identical():
     assert pickle.loads(pickle.dumps(deep)) is deep
     assert deep == deep and deep != x and x != 5
     assert canon(1 << 5000) == 1 << 5000  # a raw oversized int
+
+
+def test_big_is_its_bitset_with_a_value_derived_hash():
+    # a Big is the frozenset of its bit positions, so it hashes as that set
+    # does, at C level and from the positions alone; the copy, pickle and
+    # decode paths still return the interned object
+    x = from_bits([10 ** 10, 3])
+    deep = from_bits([from_bits([x, 0]), INT_BIT_LIMIT, 1])
+    for v in (x, deep, canon(1 << INT_BIT_LIMIT)):
+        assert isinstance(v, frozenset)
+        assert hash(v) == hash(frozenset(v.bits))
+        assert frozenset(v) == frozenset(v.bits) and all(p in v for p in v.bits)
+        assert decode(encode(v)) is v
+        assert copy.deepcopy(v) is v
+        assert pickle.loads(pickle.dumps(v)) is v
+    assert x in deep.bits[0] and deep.bits[0] in deep and x not in deep
 
 
 def test_encode_decode_roundtrip():

@@ -1,5 +1,4 @@
 import json
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,7 +126,9 @@ def test_check_with_known_tests_new_pairs():
 
 def reference_check(fwd, known=None):
     """extension_error by the pairwise scan alone: every untrusted pair against
-    every pair, with no edge count."""
+    every pair, with no edge count. The trusted pairs come first, then the
+    others; the witness is the first violating pair of that list in the order
+    (earlier member, later member), named earlier key first."""
     known = known or {}
     new, old = [], []
     for u, v in fwd.items():
@@ -138,8 +139,9 @@ def reference_check(fwd, known=None):
         if v in seen:
             return NotInjective(f"{seen[v]!r} and {u!r} both map to {v!r}")
         seen[v] = u
-    for i, u in enumerate(new):
-        for w in chain(old, new[i + 1:]):
+    keys = old + new
+    for i, u in enumerate(keys):
+        for w in keys[max(i + 1, len(old)):]:
             if adjacent(u, w) != adjacent(fwd[u], fwd[w]):
                 return EdgeViolation(u, w)
     return None

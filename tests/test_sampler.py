@@ -85,9 +85,9 @@ def test_realizers_walked_once(monkeypatch):
     def count(module, name, key):
         inner = getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[key] += 1
-            return inner(*args)
+            return inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
@@ -158,6 +158,44 @@ def test_sample_builds_only_the_drawn_realizers(monkeypatch):
     for s in range(4):
         sample(s, 8)
     assert 0 < len(calls) <= 400
+
+
+class _Hits(frozenset):
+    """A forbidden set that counts in calls["hits"] the candidates found in it."""
+
+    def __new__(cls, items, calls):
+        self = super().__new__(cls, items)
+        self.calls = calls
+        return self
+
+    def __contains__(self, v):
+        hit = frozenset.__contains__(self, v)
+        self.calls["hits"] += hit
+        return hit
+
+
+def test_realize_makes_one_kernel_pass_per_candidate(monkeypatch):
+    # one strict kernel call per realizer and one per forbidden hit: 300 calls
+    # for 296 realize calls and 4 hits here, and 570 when a limit that
+    # realized tau cost a second call from its successor
+    calls = {"kernel": 0, "realize": 0, "hits": 0}
+    kernel = bignat.min_with_bits_geq
+
+    def counted_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_realize(tau, forbidden=(), *args, inner=sampler.realize):
+        calls["realize"] += 1
+        return inner(tau, _Hits(forbidden, calls), *args)
+
+    monkeypatch.setattr(bignat, "min_with_bits_geq", counted_kernel)
+    monkeypatch.setattr(sampler, "realize", counted_realize)
+    monkeypatch.setattr(oracle, "realize", counted_realize)
+    for s in range(4):
+        sample(s, 8)
+    assert calls["realize"] > 0 and calls["hits"] > 0
+    assert calls["kernel"] == calls["realize"] + calls["hits"]
 
 
 def test_negative_depth_or_trials_is_rejected():

@@ -7,6 +7,8 @@ from radograph import adjacent
 from radograph.oracle import CompactFamily, build_c0, identity_oracle, seeded_oracle
 from radograph.splitting import split, split_far
 
+from naive_checker import dK
+
 SWAP = {0: 1, 1: 0}
 
 
@@ -83,7 +85,7 @@ def test_split_far_radius_check():
     assert adjacent(0, v)
     import math
 
-    assert fam.dK(v, 0, 4) == math.inf
+    assert dK(fam, v, 0, 4) == math.inf
 
 
 def test_split_far_identity_trivial():
@@ -92,7 +94,7 @@ def test_split_far_identity_trivial():
     fam = CompactFamily([identity_oracle()])
     v = split_far(fam, {3}, {})
     assert v > 3
-    assert fam.dK(v, 3, 4) == math.inf
+    assert dK(fam, v, 3, 4) == math.inf
 
 
 def test_split_far_empty_m():
@@ -111,4 +113,4 @@ def test_split_far_constructed_family():
     v = split_far(fam, m_set, {0: 1, 1: 0, 2: 0})
     assert adjacent(0, v) and not adjacent(1, v) and not adjacent(2, v)
     for m in m_set:
-        assert fam.dK(v, m, 4) == math.inf
+        assert dK(fam, v, m, 4) == math.inf

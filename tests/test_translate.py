@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from radograph import adjacent, realize
-from radograph.bignat import canon, decode_map, encode_map
+from radograph.bignat import decode_map, encode_map
 from radograph.errors import CertificateError, FiniteOrbitsUnsupported, NotC0Built
 from radograph.graph import edges
 from radograph.oracle import (
@@ -50,16 +50,12 @@ def test_translate_checks_every_step():
 
 
 def test_translate_even_round_schedule():
-    res = translate(small_family(), build_c0(seed=0), 8)
-    t = res.triple
-    # after round 2k+2 the first k+1 naturals are in ran(g) & dom(g)
-    for k in range(3):
-        rounds = [e for e in res.trace if e["round"] <= 2 * k + 2]
-        g_now = {canon(v) for v in t.g if any(
-            e["op"] == "extend_range_g" and e["round"] <= 2 * k + 2 for e in rounds
-        )}
-    for v in (0, 1, 2, 3):
-        assert v in t.g and v in t.g_inv
+    # after round 2k+2 the first k+1 naturals are in ran(g) & dom(g); a run of
+    # 2k+2 steps stops right after that round
+    for k in range(4):
+        t = translate(small_family(), build_c0(seed=0), 2 * k + 2).triple
+        for v in range(k + 1):
+            assert v in t.g and v in t.g_inv
 
 
 def test_translate_odd_round_schedule():
@@ -172,6 +168,26 @@ def test_delta_check_agrees_with_full_check_on_the_probe_set(monkeypatch):
         assert all(verify(c)["ok"] for c in certs)
     assert len(reports) > 500
     assert all(rep["ok"] for rep in reports)
+
+
+def test_edge_witness_is_the_same_for_delta_full_and_repeated_checks():
+    # a pair 1 -> w written into a green g, breaking the edge relation with
+    # 0 -> g(0): the delta check trusts 0 -> g(0), and the next check, which
+    # starts over after a failure, trusts nothing; both must name (0, 1), as a
+    # full check of the same state does
+    t = translate(small_family(), build_c0(seed=0), 2).triple
+    assert t.check() == {"ok": True}
+    assert 0 in t.g and 1 not in t.g
+    w = realize({t.g[0]: not adjacent(0, 1)}, forbidden=set(t.g_inv))
+    t.g[1] = w
+    twin = copy.copy(t)
+    twin._phi = list(t._phi)
+    twin._reset_caches()
+    full = twin.check()
+    first = t.check()
+    assert first["condition"] == "(i)"
+    assert "pair (0, 1)" in first["witness"]
+    assert first == t.check() == full
 
 
 def test_translate_asks_each_member_only_for_what_is_new():

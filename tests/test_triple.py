@@ -21,7 +21,7 @@ from radograph.oracle import (
     seeded_oracle,
 )
 from radograph import triple
-from radograph.triple import BadSituation, GoodTriple, _join, _root, init
+from radograph.triple import BadSituation, GoodTriple, _join, _root
 
 from naive_checker import _components, _has_cycle
 
@@ -32,7 +32,7 @@ def fresh(seed=0, members=None):
     target = build_c0(seed=seed)
     target.develop(1)
     fam = CompactFamily(members or [identity_oracle(), seeded_oracle({2: 3})])
-    return init(fam, target)
+    return GoodTriple(fam, target)
 
 
 def grown(t=None):
@@ -57,15 +57,15 @@ def test_init_passes_check():
 def test_init_rejects_cycle_member():
     target = build_c0(seed=0)
     with pytest.raises(FiniteOrbitsUnsupported):
-        init(CompactFamily([seeded_oracle(SWAP)]), target)
+        GoodTriple(CompactFamily([seeded_oracle(SWAP)]), target)
 
 
 def test_init_rejects_edgeful_target():
     fam = CompactFamily([identity_oracle()])
     with pytest.raises(ConstructionConflict):
-        init(fam, build_fp((0, 1)))
+        GoodTriple(fam, build_fp((0, 1)))
     # an edge-free pattern target is fine
-    assert init(fam, build_fp((1, 1))).check() == {"ok": True}
+    assert GoodTriple(fam, build_fp((1, 1))).check() == {"ok": True}
 
 
 def test_extend_phi_all_defines_every_class():
