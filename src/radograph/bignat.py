@@ -35,8 +35,8 @@ through ``nat_cmp``. A label is read at compare time and may change when the
 list is relabelled, so no sort key is cached.
 
 Only the operations the graph model needs are provided: total order,
-successor, bit tests, and the minimal value >= N (or > N) whose bits agree
-with a finite 0/1 constraint map. ``encode``/``decode`` give the JSON form
+successor, bit tests, and the least value above N whose bits agree with a
+finite 0/1 constraint map. ``encode``/``decode`` give the JSON form
 of one natural; ``encode_map``/``decode_map`` are the one place that knows
 the JSON form of a finite vertex map. ``decode`` asks the intern table for each
 node before building it, so decoding a live value returns it as it is.
@@ -110,7 +110,8 @@ class Big(frozenset):
     ``p in v`` tests bit p of v, and ``hash(v)`` is frozenset's: computed at
     C level, cached, and a function of the value alone (see the module
     docstring). The set operators are frozenset's and return plain
-    frozensets; ``==`` and the order are those of the naturals.
+    frozensets; ``==`` and the order are those of the naturals, so a ``Big``
+    never equals a frozenset, not even that of its own bits.
 
     Interned: ``Big(bits)`` returns the live instance with these bits if
     there is one, so equal values are identical. ``_label`` is the value's
@@ -141,7 +142,7 @@ class Big(frozenset):
             # canonical ints never overlap with Big values, but tolerate
             # a raw oversized int
             return other.bit_length() > INT_BIT_LIMIT and canon(other) is self
-        return NotImplemented
+        return False
 
     # A canonical int is below every Big, so it is answered inline; only a
     # raw oversized int (or a non-natural) goes on to nat_cmp.
@@ -253,24 +254,15 @@ def succ(x):
     return Big(bits[:len(bits) - k] + (k,))
 
 
-def bit_test(x, p):
-    """Whether bit at position p of x is set (p a natural, possibly huge)."""
-    if isinstance(x, int):
-        if isinstance(p, int):
-            return bool((x >> p) & 1) if p < x.bit_length() else False
-        return False  # canonical int < 2**INT_BIT_LIMIT <= 2**p
-    return p in x
-
-
 def vmax(values):
     """Maximum of a nonempty iterable of canonical naturals."""
     return max(values)
 
 
-def min_with_bits_geq(n, constraints, zeros=(), strict=False):
-    """Least natural X >= n, or X > n with ``strict``, with X's bit at p equal
-    to constraints[p] for all p in dom(constraints), and 0 for all p in
-    ``zeros`` outside it.
+def min_with_bits_geq(n, constraints, zeros=()):
+    """Least natural X > n (strictly above n, despite the name) with X's bit
+    at p equal to constraints[p] for all p in dom(constraints), and 0 for all
+    p in ``zeros`` outside it.
 
     constraints maps canonical positions to 0/1 or ``bool``; ``zeros`` is a
     container of canonical positions (a set or dict is tested by hash) that
@@ -285,8 +277,8 @@ def min_with_bits_geq(n, constraints, zeros=(), strict=False):
     value that copies n above p is below n, so X sets the lowest free zero q
     above p (neither constrained, nor in ``zeros``, nor set in n) and takes
     n's bits above q, then q, then the wanted ones below q. With no
-    disagreement X is n, or with ``strict`` the same search for a free zero
-    starts at position 0, which is succ(n)'s search done in one pass.
+    disagreement n itself agrees, and the same search for a free zero starts
+    at position 0, which is succ(n)'s search done in one pass.
 
     n's bits are tested by membership: a Big is its own bitset, and an int's
     bits are listed once into a frozenset. X is built from its descending
@@ -309,8 +301,6 @@ def min_with_bits_geq(n, constraints, zeros=(), strict=False):
             if p in zeros and p not in constraints:
                 top = p
                 break
-    if top is None and not strict:
-        return n
     if top is None or constraints.get(top, 0) == 0:
         top = 0 if top is None else succ(top)
         while top in constraints or top in zeros or top in nset:

@@ -86,15 +86,15 @@ def realize(tau, forbidden=(), lower_bound=0, zeros=()):
     ``zeros`` lets a caller that already holds a set of default non-neighbours
     pass it instead of listing each one in tau: every member of ``zeros``
     must be at most ``lower_bound``, so the limit is computed from tau and
-    the lower bound alone. Each realizer is one strict kernel call, the least
+    the lower bound alone. Each realizer is one kernel call, the least
     value above the limit max(dom(tau) + {lower_bound}) that realizes tau,
     and each forbidden hit one more, from the hit."""
     limit = max(tau, default=lower_bound)
     if limit < lower_bound:
         limit = lower_bound
-    v = bignat.min_with_bits_geq(limit, tau, zeros, strict=True)
+    v = bignat.min_with_bits_geq(limit, tau, zeros)
     while v in forbidden:
-        v = bignat.min_with_bits_geq(v, tau, zeros, strict=True)
+        v = bignat.min_with_bits_geq(v, tau, zeros)
     return v
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .bignat import encode_map
 from .errors import CycleDetected, EdgeViolation, NotInjective
 from .graph import adjacent, edges
@@ -131,9 +129,14 @@ def extension_error(old, new, inv):
         if (all(adjacent(fwd[u], fwd[w]) for u, w in dom_edges)
                 and len(dom_edges) == sum(1 for _ in edges(seen))):
             return None
-    k = len(old)
-    for i, (u, v) in enumerate(chain(old, new)):
-        for w, x in new[max(i + 1 - k, 0):]:
+    if not new:
+        return None
+    for u, v in old:
+        for w, x in new:
+            if adjacent(u, w) != adjacent(v, x):
+                return EdgeViolation(u, w)
+    for i, (u, v) in enumerate(new):
+        for w, x in new[i + 1:]:
             if adjacent(u, w) != adjacent(v, x):
                 return EdgeViolation(u, w)
     return None

@@ -7,14 +7,15 @@ definition, over the plain snapshot data plus live replayed oracles for
 ground-truth image/orbit queries. Returns ALL violated condition names, not
 just the first.
 
-It also holds two test oracles the package does not need: the bounded
+It also holds test oracles the package does not need: the bounded
 orbit-graph distance ``dK`` of a compact family, against which
-``split_far``'s radius claim is tested, and ``induced_subgraph``.
+``split_far``'s radius claim is tested, ``induced_subgraph``, and
+``bit_test``, the bit read by shifts that ``adjacent`` is tested against.
 """
 
 import math
 
-from radograph.bignat import decode
+from radograph.bignat import Big, decode
 from radograph.errors import RadographError
 from radograph.graph import adjacent
 
@@ -225,6 +226,15 @@ def dK(family, x, y, radius):
         if not frontier:
             break
     return math.inf
+
+
+def bit_test(x, p):
+    """Whether bit at position p of x is set (p a natural, possibly huge)."""
+    if isinstance(x, Big):
+        return p in x.bits
+    if isinstance(p, int):
+        return bool((x >> p) & 1) if p < x.bit_length() else False
+    return False  # canonical int < 2**INT_BIT_LIMIT <= 2**p
 
 
 def induced_subgraph(vertices):

@@ -19,7 +19,6 @@ from radograph.sampler import report, sample
 from radograph.translate import translate, truss_factor, verify
 from radograph.bignat import (
     Big,
-    bit_test,
     bits_desc,
     canon,
     encode,
@@ -34,7 +33,7 @@ from radograph.bignat import (
     INT_BIT_LIMIT,
 )
 
-from naive_checker import induced_subgraph
+from naive_checker import bit_test, induced_subgraph
 
 
 def brute_realize(tau, forbidden, lower_bound):
@@ -118,8 +117,9 @@ def test_realizers_step_from_previous(tau, forbidden):
 )
 @settings(max_examples=300, deadline=None)
 def test_min_with_bits_matches_scan(n, cons):
+    # the kernel is the least value above n that realizes cons
     got = min_with_bits_geq(n, cons)
-    v = n
+    v = n + 1
     while any(((v >> p) & 1) != b for p, b in cons.items()):
         v += 1
     assert got == v
@@ -131,8 +131,9 @@ def shift_bits_desc(x):
 
 
 def sorted_pool_min_with_bits(n, constraints):
-    """Reference for min_with_bits_geq: the walk over the whole sorted pool
-    of constrained positions and n's bits that it replaced."""
+    """The least natural >= n whose bits agree with constraints, by the walk
+    over the whole sorted pool of constrained positions and n's bits; at
+    succ(n) it is the reference for min_with_bits_geq at n."""
     nbits = set(n.bits) if isinstance(n, Big) else set(shift_bits_desc(n))
     pool = set(constraints) | nbits
     for p in sorted(pool, reverse=True):
@@ -181,29 +182,31 @@ _NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 )
 @settings(max_examples=500, deadline=None, phases=_NO_SHRINK)
 def test_min_with_bits_matches_sorted_pool(n, cons, own):
-    # constraints on n's own top bits: the pool walk then passes positions
-    # that agree with n before it reaches the decisive one
+    # constraints on n's own top bits: the kernel then passes positions
+    # that agree with n before it reaches the decisive one, or finds that
+    # n realizes cons
     for p, b in zip(bits_desc(n), own):
         cons.setdefault(p, int(b))
     got = min_with_bits_geq(n, cons)
-    want = sorted_pool_min_with_bits(n, cons)
+    want = sorted_pool_min_with_bits(succ(n), cons)
     assert type(got) is type(want)
     if isinstance(want, Big):
         assert got is want
     else:
         assert got == want
-    assert got >= n
+    assert got > n
     assert all(bit_test(got, p) == bool(b) for p, b in cons.items())
 
 
 def reference_realize(tau, forbidden, lower_bound):
     """realize before its search started at the limit: a 0/1 copy of tau,
-    vmax of its keys and lower_bound, succ of that, then the kernel loop."""
+    vmax of its keys and lower_bound, succ of that, then the sorted-pool
+    walk from there and from the successor of each forbidden hit."""
     constraints = {w: (1 if b else 0) for w, b in tau.items()}
     limit = vmax(list(constraints) + [lower_bound])
     n = succ(limit)
     while True:
-        v = min_with_bits_geq(n, constraints)
+        v = sorted_pool_min_with_bits(n, constraints)
         if v not in forbidden:
             return v
         n = succ(v)
@@ -262,39 +265,25 @@ def _same_natural(got, want):
     from_n=st.lists(st.booleans(), max_size=8),
     from_cons=st.lists(st.booleans(), max_size=8),
     as_dict=st.booleans(),
+    agree=st.booleans(),
 )
 @settings(max_examples=400, deadline=None, phases=_NO_SHRINK)
 def test_sparse_kernel_matches_dense_expansion(n, cons, own, zeros, from_n, from_cons,
-                                               as_dict):
+                                               as_dict, agree):
     # zeros is read as 0 outside dom(cons): the kernel on the expansion
-    # {**dict.fromkeys(zeros, 0), **cons} is the reference
+    # {**dict.fromkeys(zeros, 0), **cons} is the reference. agree moves n to
+    # a value that already realizes the map, the case realize meets at every
+    # step from a previous realizer: the kernel then searches succ(n)'s free
+    # zero in the same pass
     for p, b in zip(bits_desc(n), own):
         cons.setdefault(p, int(b))
     zeros = _with_overlap(zeros, bits_desc(n) + list(cons), from_n + from_cons)
     dense = {**dict.fromkeys(zeros, 0), **cons}
-    got = min_with_bits_geq(n, cons, dict.fromkeys(zeros) if as_dict else zeros)
-    _same_natural(got, min_with_bits_geq(n, dense))
-    _same_natural(got, sorted_pool_min_with_bits(n, dense))
-
-
-@given(
-    n=_naturals,
-    cons=st.dictionaries(_positions, st.integers(0, 1) | st.booleans(), max_size=6),
-    own=st.lists(st.booleans(), max_size=6),
-    zeros=st.sets(_positions, max_size=4),
-    agree=st.booleans(),
-)
-@settings(max_examples=400, deadline=None, phases=_NO_SHRINK)
-def test_strict_kernel_matches_kernel_from_successor(n, cons, own, zeros, agree):
-    # strict=True is the least value above n: the kernel from succ(n), in one
-    # pass; agree moves n to a value that already realizes the map, the case
-    # realize meets at every step from a previous realizer
-    for p, b in zip(bits_desc(n), own):
-        cons.setdefault(p, int(b))
     if agree:
         n = min_with_bits_geq(n, cons, zeros)
-    got = min_with_bits_geq(n, cons, zeros, strict=True)
-    _same_natural(got, min_with_bits_geq(succ(n), cons, zeros))
+    got = min_with_bits_geq(n, cons, dict.fromkeys(zeros) if as_dict else zeros)
+    _same_natural(got, min_with_bits_geq(n, dense))
+    _same_natural(got, sorted_pool_min_with_bits(succ(n), dense))
     assert got > n
 
 
@@ -536,6 +525,8 @@ def test_big_is_its_bitset_with_a_value_derived_hash():
         assert copy.deepcopy(v) is v
         assert pickle.loads(pickle.dumps(v)) is v
     assert x in deep.bits[0] and deep.bits[0] in deep and x not in deep
+    # equal as a natural only: not to the plain frozenset of its bits
+    assert x != frozenset(x.bits) and frozenset(x.bits) != x
 
 
 def test_encode_decode_roundtrip():

@@ -9,7 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # AST nodes of radograph/__init__.py and the modules perfbench/worker.py
 # loads, pinned at the count of the change that added this guard; raising
 # it needs a reason in CHANGES.md
-CEILING = 14_036
+CEILING = 13_986
 
 
 def _worker_modules():

@@ -175,7 +175,7 @@ class _Hits(frozenset):
 
 
 def test_realize_makes_one_kernel_pass_per_candidate(monkeypatch):
-    # one strict kernel call per realizer and one per forbidden hit: 300 calls
+    # one kernel call per realizer and one per forbidden hit: 300 calls
     # for 296 realize calls and 4 hits here, and 570 when a limit that
     # realized tau cost a second call from its successor
     calls = {"kernel": 0, "realize": 0, "hits": 0}
