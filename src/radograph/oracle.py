@@ -341,15 +341,26 @@ class AutomorphismOracle:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self):
+    def _record(self, field, value):
+        """The header both records share (seed, kind, pattern) and one more
+        field, so that no record holds both the core and the task log."""
         seed = encode_map(dict(self.seed or ())) if self.kind == "seeded" else self.seed
         return {
             "seed": seed,
             "kind": self.kind,
             "pattern": list(self.pattern) if self.pattern is not None else None,
-            "core": encode_map(self._fwd),
-            "tasks": [_encode_task(task) for task in self.tasks],
+            field: value,
         }
+
+    def core_record(self):
+        """The oracle as a certificate embeds it: the header and the core
+        map, which is all that ``verify`` reads."""
+        return self._record("core", encode_map(self._fwd))
+
+    def to_json(self):
+        """The replay log: the header and the task log, which is all that
+        ``replay`` reads. Snapshots and the CLI build commands write it."""
+        return self._record("tasks", [_encode_task(task) for task in self.tasks])
 
 
 def _encode_task(task):

@@ -225,59 +225,62 @@ def truss_factor(h, steps, target=None):
     family = CompactFamily(members)
     target = target or build_c0(seed=0)
     res = translate(family, target, steps)
-    # every phi value's f-image was built with the value, so the target's
-    # core already holds f(phi(v)) at every checked point
-    f_ref = target.to_json()
-    certs = [
-        _certificate(res.triple, i, member, f_ref)
-        for i, member in enumerate(family.members)
-    ]
-    return res, certs
-
-
-def _certificate(t, index, member, f_ref):
-    phi = t._phi[index]
-    points = []
-    for v in t.g:
-        gv = t.g[v]
-        hgv = member.image(gv)
-        if v in phi and hgv in phi:
-            points.append(v)
-    points.sort()
-    return {
-        "kind": "conjugation",
-        "f_ref": f_ref,
-        "h_ref": "id" if member.kind == "identity" else member.to_json(),
-        "g": encode_map(t.g),
-        "phi": encode_map(phi),
-        "checked_points": [encode(v) for v in points],
-    }
+    t = res.triple
+    # every phi value's f-image was built with the value, and classes() asked
+    # every member for its image at each point of M, which holds ran(g); so
+    # the cores already hold f(phi(v)) and h(g(v)) at every checked point
+    f_ref = target.core_record()
+    return res, [_certificate(f_ref, member, t.g, phi)
+                 for member, phi in zip(family.members, t._phi)]
 
 
 def conjugation_certificate(f, fp, phi):
     """Certificate for a direct conjugation phi(f(v)) = fp(phi(v))."""
-    points = []
     fwd = dict(phi.pairs())
     for v in fwd:
         if f.image(v) in fwd:
             fp.image(fwd[v])  # pin fp(phi(v)) into the serialized core
-            points.append(v)
-    points.sort()
+    return _certificate(fp.core_record(), f, None, fwd)
+
+
+def _certificate(f_ref, h, g, phi):
+    """The one certificate shape: the target's and h's core records (h the
+    identity is "id"), g (None for the identity), phi, and the points that
+    checked_points derives from these maps."""
+    hcore = None if h.kind == "identity" else h._fwd
     return {
         "kind": "conjugation",
-        "f_ref": fp.to_json(),
-        "h_ref": f.to_json(),
-        "g": None,
-        "phi": encode_map(fwd),
-        "checked_points": [encode(v) for v in points],
+        "f_ref": f_ref,
+        "h_ref": "id" if hcore is None else h.core_record(),
+        "g": None if g is None else encode_map(g),
+        "phi": encode_map(phi),
+        "checked_points": [encode(v) for v in checked_points(phi, g, hcore)],
     }
+
+
+def checked_points(phi, g, h):
+    """The points a certificate checks, from plain dicts: every v in dom(phi)
+    & dom(g) with g(v) in dom(h) and h(g(v)) in dom(phi), ascending, each
+    mapped to h(g(v)). A missing (None) g or h is the identity."""
+    out = {}
+    for v in sorted(phi):
+        gv = v if g is None else g.get(v)
+        hgv = gv if h is None else h.get(gv)
+        if hgv in phi:
+            out[v] = hgv
+    return out
 
 
 def verify(cert):
     """Re-check a conjugation certificate from its serialized data alone.
 
-    The identity phi(h(g(v))) = f(phi(v)) is evaluated by pure lookups in
-    the embedded finite maps; any missing lookup or mismatch rejects."""
+    It reads the cores of f_ref and h_ref (any other field of theirs, such
+    as an old certificate's task log, is ignored), g and phi. Each of the
+    four maps must be a partial automorphism. checked_points must list
+    exactly the points that checked_points() derives from the maps, and
+    there must be one. At each of them, the identity phi(h(g(v))) =
+    f(phi(v)) is evaluated by pure lookups in the embedded finite maps; a
+    missing f(phi(v)) or a mismatch rejects."""
     try:
         if cert.get("kind") != "conjugation":
             raise CertificateError("not a conjugation certificate")
@@ -296,16 +299,12 @@ def verify(cert):
         err = PartialAutomorphism(m).check()
         if err is not None:
             return {"ok": False, "reason": f"{name} is not a partial automorphism: {err!r}"}
+    derived = checked_points(phi, g, hcore)
+    if points != list(derived):
+        return {"ok": False, "reason": "checked_points differ from the derived set"}
     if not points:
         return {"ok": False, "reason": "certificate checks no points"}
-    for v in points:
-        try:
-            gv = v if g is None else g[v]
-            hgv = gv if hcore is None else hcore[gv]
-            lhs = phi[hgv]
-            rhs = fcore[phi[v]]
-        except KeyError as exc:
-            return {"ok": False, "reason": f"lookup failed at {v!r}: {exc}"}
-        if lhs != rhs:
+    for v, hgv in derived.items():
+        if phi[hgv] != fcore.get(phi[v]):
             return {"ok": False, "reason": f"identity fails at {v!r}"}
     return {"ok": True, "checked": len(points)}

@@ -5,7 +5,14 @@ from pathlib import Path
 import pytest
 
 from radograph.cli import main, parse_oracle_spec
-from radograph.oracle import CompactFamily, build_c0, identity_oracle, replay, seeded_oracle
+from radograph.oracle import (
+    CompactFamily,
+    build_c0,
+    build_fp,
+    identity_oracle,
+    replay,
+    seeded_oracle,
+)
 from radograph.translate import translate, truss_factor
 from radograph.triple import GoodTriple
 
@@ -86,18 +93,32 @@ def test_bad_spec_is_domain_error(capsys):
     assert rc == 1 and "error" in data
 
 
+LOG_FIELDS = {"seed", "kind", "pattern", "tasks"}
+
+
+def _assert_replay_log(data, o, depth):
+    # the "log" holds the task log and no core; replaying it rebuilds the
+    # oracle that the command built
+    o.develop(depth)
+    assert set(data["log"]) == LOG_FIELDS
+    assert replay(data["log"]).core() == o.core()
+    assert len(o.core()) == data["core_size"]
+
+
 def test_build_fp(capsys):
     rc, data = run_json(capsys, "build-fp", "--pattern", "010", "--depth", "3")
     assert rc == 0
     assert data["kind"] == "fp"
     assert data["orbits"] >= 3
     assert data["log"]["pattern"] == [0, 1, 0]
+    _assert_replay_log(data, build_fp("010"), 3)
 
 
 def test_build_c0(capsys):
     rc, data = run_json(capsys, "build-c0", "--depth", "2")
     assert rc == 0
     assert data["kind"] == "c0" and data["core_size"] > 0
+    _assert_replay_log(data, build_c0(seed=0), 2)
 
 
 def _snapshot_file(tmp_path, corrupt=False):
@@ -121,7 +142,11 @@ def _snapshot_file(tmp_path, corrupt=False):
 
 
 def test_good_check_ok(capsys, tmp_path):
-    rc, data = run_json(capsys, "good-check", "--snapshot", _snapshot_file(tmp_path))
+    path = _snapshot_file(tmp_path)
+    snap = json.loads(Path(path).read_text())
+    for ref in [*snap["family_ref"], snap["target_ref"]]:
+        assert set(ref) == LOG_FIELDS  # good-check replays each ref
+    rc, data = run_json(capsys, "good-check", "--snapshot", path)
     assert rc == 0 and data["ok"] is True
 
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -90,15 +91,17 @@ def _sha256(obj):
 
 def test_translate_artefacts_are_pinned():
     # any drift in what the construction builds, or in the order it builds
-    # target points, changes these digests
+    # target points, changes these digests; the snapshot's oracle refs are
+    # replay logs and the certificates' are core records, each the earlier
+    # combined record with the other field dropped
     res = translate(small_family(), build_c0(seed=0), 6)
     _, certs = truss_factor(seeded_oracle({2: 3}), 6)
     assert _sha256(res.to_json()) == (
         "dd7db5e1202ddf4390edd7e2bf6846bd3f5c51273d9a92b4ba535adce9e0813e")
     assert _sha256(res.triple.to_snapshot()) == (
-        "ea806843c8172ef6ea9cf9eacd1619966b39cb93f0c5a5c451bb76b9376094a1")
+        "0106e51a0f8ef52c98611f92bb01f8e8e7bce23369d2b7839ca80f5264db6229")
     assert _sha256(certs) == (
-        "6e361c6a61894c577d37fbf261c4bf003bf76735bcd5c4acde2f0fea5a2e159b")
+        "1c090070a2f7c43ea3b81f65259392d33e7d1c8b3c3133c4d6be9e35ae5a1e4e")
 
 
 def test_cached_check_agrees_with_full_check(monkeypatch):
@@ -188,6 +191,76 @@ def test_edge_witness_is_the_same_for_delta_full_and_repeated_checks():
     assert first["condition"] == "(i)"
     assert "pair (0, 1)" in first["witness"]
     assert first == t.check() == full
+
+
+KINDS = ("g pair", "phi value", "phi key", "M point", "own slot")
+
+
+def _fresh(vertices):
+    return realize({}, lower_bound=max(vertices, default=0))
+
+
+def _pick(rng, free, taken):
+    """Mostly a point of free, sometimes a vertex above all of taken."""
+    return rng.choice(free) if free and rng.random() < 0.8 else _fresh(taken)
+
+
+def _write_out_of_band(t, kind, rng):
+    """One write of the given kind to t, made outside the extension
+    operations, as a test or a tampered snapshot makes it."""
+    classes = t.classes()
+    if kind == "g pair":
+        v = _pick(rng, [m for m in sorted(t.M) if m not in t.g], t.M)
+        ran = set(t.g.values())
+        t.g[v] = _pick(rng, [m for m in sorted(t.M) if m not in ran], t.M | {v})
+    elif kind == "M point":
+        t.M.add(rng.choice([_fresh(t.M), rng.randrange(40)]))
+    elif kind == "own slot":
+        shared = [c.indices for c in classes if len(c.indices) > 1]
+        i = rng.choice(rng.choice(shared) if shared else range(len(t._phi)))
+        t._phi[i] = dict(t._phi[i])
+    else:
+        phi = rng.choice([c.phi for c in classes if c.phi])
+        x = rng.choice(sorted(phi))
+        if kind == "phi key":
+            del phi[x]
+        else:  # a touched target vertex, as every phi value is
+            phi[x] = rng.choice(t.target.touched())
+
+
+def test_delta_full_and_repeated_checks_agree_after_out_of_band_writes(monkeypatch):
+    # seeded mutation differential: after the first check and at random later
+    # green checks of 3- and 4-member families, a copy of the triple takes one
+    # write outside the extension operations; its delta check, a full check
+    # of the same state and a repeated check must give one report, witness
+    # included
+    real = GoodTriple.check
+    rng = random.Random(15)
+    seen = []
+
+    def differential(t):
+        rep = real(t)
+        if rep["ok"] and (not t.M or rng.random() < 0.08):
+            kind = KINDS[len(seen) % len(KINDS)] if t.M else "own slot"
+            bad = copy.deepcopy(t)  # the run goes on with t
+            _write_out_of_band(bad, kind, rng)
+            twin = copy.deepcopy(bad)
+            twin._reset_caches()
+            full = real(twin)
+            delta = real(bad)
+            assert delta == real(bad) == full, kind  # the repeated check
+            seen.append((kind, full.get("condition", "ok")))
+        return rep
+
+    monkeypatch.setattr(GoodTriple, "check", differential)
+    for members, steps in (
+            ([identity_oracle(), seeded_oracle({2: 3}), seeded_oracle({0: 2})], 24),
+            ([identity_oracle(), seeded_oracle({1: 9}), seeded_oracle({4: 30})], 20),
+            ([identity_oracle(), seeded_oracle({2: 3}), seeded_oracle({0: 2}),
+              seeded_oracle({5: 40})], 16)):
+        translate(CompactFamily(members), build_c0(seed=0), steps)
+    assert {kind for kind, _ in seen} == set(KINDS)
+    assert {"ok", "(i)", "(ii)", "(vi)"} <= {cond for _, cond in seen}
 
 
 def test_translate_asks_each_member_only_for_what_is_new():
@@ -327,6 +400,61 @@ def test_verify_rejects_mutations():
     bad = copy.deepcopy(cert)
     bad["g"] = bad["g"][1:]  # drop a lookup the checked points rely on
     assert verify(bad)["ok"] is False
+
+
+CORE_FIELDS = {"seed", "kind", "pattern", "core"}
+CERT_FIELDS = {"kind", "f_ref", "h_ref", "g", "phi", "checked_points"}
+
+
+def test_certificates_embed_core_records_without_task_logs():
+    _, certs = truss_factor(seeded_oracle({3: 90}), 10)
+    f, fp = build_c0(seed=0), build_c0(seed=1)
+    conj = conjugation_certificate(f, fp, conjugate_c0(f, fp, 16))
+    assert certs[0]["h_ref"] == "id"
+    for cert in [*certs, conj]:
+        assert set(cert) == CERT_FIELDS
+        assert set(cert["f_ref"]) == CORE_FIELDS
+        assert cert["h_ref"] == "id" or set(cert["h_ref"]) == CORE_FIELDS
+        assert verify(cert)["ok"]
+    assert certs[0]["f_ref"] is certs[1]["f_ref"]
+    assert conj["g"] is None and conj["h_ref"] == f.core_record()
+
+
+def test_verify_ignores_the_task_log_of_an_old_certificate():
+    # certificates once embedded each oracle's task log too; verify never
+    # read it, so such a certificate verifies as before
+    h = seeded_oracle({0: 2})
+    _, certs = truss_factor(h, 8)
+    for cert in certs:
+        old = copy.deepcopy(cert)
+        old["f_ref"]["tasks"] = [["develop", 1]]
+        if old["h_ref"] != "id":
+            old["h_ref"].update(tasks=h.to_json()["tasks"])
+        assert verify(old) == verify(cert)
+
+
+def test_verify_derives_the_checked_set():
+    _, certs = truss_factor(seeded_oracle({3: 90}), 10)
+    cert = certs[-1]
+    listed = cert["checked_points"]
+    assert verify(cert) == {"ok": True, "checked": len(listed)}
+    assert len(listed) > 2
+    for points in (listed[:1], listed[1:], listed[::-1], listed + listed[:1],
+                   listed + [987654321]):
+        bad = dict(cert, checked_points=points)
+        assert verify(bad) == {"ok": False,
+                               "reason": "checked_points differ from the derived set"}
+
+
+# bytes of truss_factor(seeded_oracle({3: 90}), 10)'s certificates as sorted,
+# compact JSON, pinned at the count of the change that added this guard;
+# raising it needs a reason in CHANGES.md
+CERT_BYTES = 90_048
+
+
+def test_certificate_payload_stays_under_its_pin():
+    _, certs = truss_factor(seeded_oracle({3: 90}), 10)
+    assert len(json.dumps(certs, sort_keys=True, separators=(",", ":"))) <= CERT_BYTES
 
 
 def test_verify_rejects_phi_sending_a_non_edge_onto_an_edge():
