@@ -53,7 +53,9 @@ class NotC0Built(RadographError):
 
 
 class ConstructionConflict(RadographError):
-    """A requested witness variant contradicts the oracle's own edge pattern."""
+    """A target cannot carry the construction: it is not a constructed
+    oracle, or its orbit edge pattern puts an edge between a fresh-orbit
+    witness and its f-image."""
 
 
 class CertificateError(RadographError):

@@ -98,11 +98,11 @@ def realize(tau, forbidden=(), lower_bound=0, zeros=()):
     return v
 
 
-def to_dot(vertices, name="radograph"):
+def to_dot(vertices):
     """GraphViz DOT text for the subgraph induced on the given vertices."""
     vs = sorted(set(vertices))
     labels = {v: _label(v) for v in vs}
-    lines = [f"graph {name} {{"]
+    lines = ["graph radograph {"]
     for v in vs:
         lines.append(f'  "{labels[v]}";')
     for u, w in sorted(edges(vs)):

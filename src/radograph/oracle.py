@@ -5,7 +5,9 @@ step at a time; the extension realizes the adjacency type forced by the core,
 so the core stays a partial automorphism forever. Constructed oracles
 (build_fp / build_c0) additionally maintain orbit chains with a prescribed
 edge pattern along every orbit, persistent non-adjacency prohibitions, and a
-round-robin task queue of fresh-orbit witnesses.
+round-robin task queue of fresh-orbit witnesses. The pattern alone decides
+every edge inside an orbit, so a witness's first f-edge is its bit at
+distance 1.
 """
 
 from __future__ import annotations
@@ -13,24 +15,15 @@ from __future__ import annotations
 import itertools
 
 from .bignat import bits_desc, canon, decode, decode_map, encode, encode_map, vmax
-from .errors import (
-    ConstructionConflict,
-    ImplementationFault,
-    NotConstructed,
-    UntouchedVertex,
-)
+from .errors import ImplementationFault, NotConstructed, UntouchedVertex
 from .graph import merge_tau, realize
 from .partial import PartialAutomorphism
-
-STAR = "(*)"
-STAR0 = "(*)0"
-STAR1 = "(*)1"
 
 
 class AutomorphismOracle:
     """One lazy automorphism. Use the module-level constructors."""
 
-    def __init__(self, kind, seed=0, pattern=None, seed_pairs=None):
+    def __init__(self, kind, seed=0, pattern=None):
         self.kind = kind
         self.seed = seed
         self.pattern = tuple(pattern) if pattern is not None else None
@@ -39,19 +32,17 @@ class AutomorphismOracle:
         self.tasks = []
         self.declared_finite_orbits = frozenset()
         # orbit machinery, present only for constructed oracles
-        self._chains = {}        # orbit-id -> consecutive points of the chain
+        self._chains = {}        # orbit-id (creation index) -> consecutive points
         self._orbit_of = {}      # vertex -> orbit-id
         self._reps = []          # first point of each orbit, creation order
         self._constraints = {}   # orbit-id -> vertices future points must avoid
-        self._pending = {}       # witness root -> forced 0/1 for its first f-edge
-        self._next_oid = 0
         self._witness_counter = 1
         self._touch_cursor = 0
         self._max = 0            # largest vertex stored or touched
         self._held_with = {}     # bit position -> held vertices with that bit
 
         if kind == "seeded":
-            core = PartialAutomorphism(seed_pairs or ())
+            core = PartialAutomorphism(seed or ())
             err = core.check()
             if err is not None:
                 raise err
@@ -169,8 +160,7 @@ class AutomorphismOracle:
     def _touch(self, v):
         if v in self._orbit_of:
             return self._orbit_of[v]
-        oid = self._next_oid
-        self._next_oid += 1
+        oid = len(self._chains)
         self._chains[oid] = [v]
         self._orbit_of[v] = oid
         self._reps.append(v)
@@ -203,13 +193,8 @@ class AutomorphismOracle:
         chain = self._chains[oid]
         last = chain[-1]
         required = []
-        m = len(chain) - 1
         for j, u in enumerate(chain):
-            n = (m + 1) - j
-            bit = self._pattern_bit(n)
-            if n == 1 and u in self._pending:
-                bit = self._pending[u]
-            required.append((u, bit))
+            required.append((u, self._pattern_bit(len(chain) - j)))
         for x in self._constraints.get(oid, ()):
             required.append((x, 0))
         # new R f(x) <-> last R x for every x in dom f
@@ -219,7 +204,6 @@ class AutomorphismOracle:
         self._orbit_of[new] = oid
         self._hold(new)
         self._store(last, new)
-        self._pending.pop(last, None)
         return new
 
     def _extend_backward(self, oid):
@@ -257,24 +241,15 @@ class AutomorphismOracle:
         self._require_constructed()
         return list(self._orbit_of)
 
-    def star_witness(self, tau, variant=STAR, _log=True):
-        """Fresh-orbit vertex realizing tau; the variant fixes its first f-edge."""
+    def star_witness(self, tau, *, _log=True):
+        """Fresh-orbit vertex realizing tau. Like every orbit point, its
+        first f-edge is the orbit edge pattern's bit at distance 1."""
         self._require_constructed()
-        if variant not in (STAR, STAR0, STAR1):
-            raise ValueError(f"unknown variant {variant!r}")
-        if variant in (STAR0, STAR1):
-            want = 0 if variant == STAR0 else 1
-            if self._pattern_bit(1) != want:
-                raise ConstructionConflict(
-                    f"variant {variant} contradicts the orbit edge pattern"
-                )
         req = {w: 1 if b else 0 for w, b in tau.items()}
         v = self._fresh_point(req.items())
         self._touch(v)
-        if variant in (STAR0, STAR1):
-            self._pending[v] = 0 if variant == STAR0 else 1
         if _log:
-            self.tasks.append(["star", req, variant])
+            self.tasks.append(["star", req])
         return v
 
     def c0_witness(self, a_set, b_set, _log=True):
@@ -292,7 +267,6 @@ class AutomorphismOracle:
             oids.add(self._orbit_of[x])
         v = self._fresh_point((a, 1) for a in a_set)
         self._touch(v)
-        self._pending[v] = self._pattern_bit(1)
         for oid in oids:
             self._constraints.setdefault(oid, set()).add(v)
         if _log:
@@ -337,7 +311,7 @@ class AutomorphismOracle:
         else:
             tau = {a: 1 for a in a_set}
             tau.update({b: 0 for b in b_set})
-            self.star_witness(tau, STAR, _log=False)
+            self.star_witness(tau, _log=False)
 
     # -- serialization ----------------------------------------------------
 
@@ -371,7 +345,7 @@ def _encode_task(task):
     if op == "star":
         pairs = sorted(([encode(w), b] for w, b in task[1].items()),
                        key=lambda p: str(p[0]))
-        return [op, pairs, task[2]]
+        return [op, pairs]
     if op == "witness2":
         return [op, sorted(map(encode, task[1]), key=str),
                 sorted(map(encode, task[2]), key=str)]
@@ -386,8 +360,7 @@ def seeded_oracle(pairs):
     pairs = [(canon(u), canon(v)) for u, v in (
         pairs.items() if hasattr(pairs, "items") else pairs
     )]
-    o = AutomorphismOracle("seeded", seed=pairs, seed_pairs=pairs)
-    return o
+    return AutomorphismOracle("seeded", seed=pairs)
 
 
 def build_fp(pattern, seed=0):
@@ -426,8 +399,8 @@ def replay(log):
             o.preimage(decode(task[1]))
         elif op == "develop":
             o.develop(task[1])
-        elif op == "star":
-            o.star_witness({decode(w): b for w, b in task[1]}, task[2])
+        elif op == "star":  # an older log's third field, "(*)0", changed nothing
+            o.star_witness({decode(w): b for w, b in task[1]})
         elif op == "witness2":
             o.c0_witness([decode(a) for a in task[1]], [decode(b) for b in task[2]])
         else:

@@ -101,13 +101,9 @@ def _uncovered(t):
 def _odd_round(t, trace, round_no):
     """Pull the least-index uncovered target orbit into every phi-range."""
     z = _uncovered(t)
-    if z is None:
+    if z is None:  # develop(1) touches a new orbit, which no phi value is in
         t.target.develop(1)
         z = _uncovered(t)
-    if z is None:
-        trace.append({"round": round_no, "parity": "odd", "op": "noop", "arg": None,
-                      "check": t.check()})
-        return None
     t.extend_phi_range(z)
     _record(t, trace, round_no, "odd", "extend_phi_range", encode(z))
     return z
@@ -209,12 +205,12 @@ def conjugate_c0(f, fp, depth):
 # -- Truss factorization ---------------------------------------------------
 
 
-def truss_factor(h, steps, target=None):
-    """Translate {id, h} onto an edge-free-orbit target f; the certificates
-    witness, per member h', the pointwise identity phi(h'(g(v))) = f(phi(v)),
-    i.e. that g and h o g both act like f up to conjugation at every
-    checked point. The target is encoded once: the certificates share one
-    f_ref object."""
+def truss_factor(h, steps):
+    """Translate {id, h} onto the edge-free-orbit target f = build_c0(0);
+    the certificates witness, per member h', the pointwise identity
+    phi(h'(g(v))) = f(phi(v)), i.e. that g and h o g both act like f up to
+    conjugation at every checked point. The target is encoded once: the
+    certificates share one f_ref object."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, not {steps}")
     if h.declared_finite_orbits:
@@ -223,7 +219,7 @@ def truss_factor(h, steps, target=None):
     if h.identity_key() != members[0].identity_key():
         members.append(h)
     family = CompactFamily(members)
-    target = target or build_c0(seed=0)
+    target = build_c0(seed=0)
     res = translate(family, target, steps)
     t = res.triple
     # every phi value's f-image was built with the value, and classes() asked

@@ -7,7 +7,9 @@ conditions are decidable on this finite data; the four extension operations
 grow the triple while keeping all ten conditions intact. Two invariants make
 the data, and so the artefacts, independent of how often check() runs:
 - every phi value's f-image is built when the value is created, so every
-  target query that check() makes is a hit and check() extends no oracle;
+  target query that check() makes is a hit and check() extends no oracle
+  (on any state, (iv) reads f from the target's core and (v) fails on a phi
+  value the target never touched);
 - each class owns its phi dict: its members hold that one dict, and no other
   class holds it. When M grows and a class splits, classes() gives each new
   class after the first a copy.
@@ -43,7 +45,6 @@ from .errors import (
     PreconditionPhiMissing,
 )
 from .graph import adjacent, merge_tau
-from .oracle import STAR0
 from .partial import extension_error
 from .splitting import split_far
 
@@ -300,10 +301,13 @@ class GoodTriple:
         # (iii) vacuous: no finite-orbit set to respect
 
         # (ii) has put both ends of every pair of hg in phi, so a covered
-        # pair of hg met only covered pairs of phi, which have not changed
+        # pair of hg met only covered pairs of phi, which have not changed;
+        # f(phi(v)) is read from the target's core, so an image that was
+        # never built fails here instead of being built
+        core = f._fwd
         for c, _, new_hg in fresh:
             for v, w in new_hg:
-                if c.phi[w] != f.image(c.phi[v]):
+                if c.phi[w] != core.get(c.phi[v]):
                     return fail("(iv)", encode(v))
 
         for c, new, new_hg in fresh:
@@ -311,7 +315,10 @@ class GoodTriple:
                 if not _join(c.links, v, w):
                     return fail("(vii)", c.indices)
             for x, z in new:
-                first = c.orb.setdefault(f.orbit_id(z), x)
+                oid = f._orbit_of.get(z)
+                if oid is None:  # a value the target never touched
+                    return fail("(v)", encode(x))
+                first = c.orb.setdefault(oid, x)
                 if first is not x and _root(c.links, first) != _root(c.links, x):
                     return fail("(v)", encode(x))
 
@@ -388,7 +395,7 @@ class GoodTriple:
                             req.append((f.image(cls.phi[y]), bit))
                         elif xp == y and y not in c2.phi:
                             req.append((f.image(cls.phi[y]), 0))
-        z = f.star_witness(merge_tau(req), STAR0)
+        z = f.star_witness(merge_tau(req))  # no edge to f(z), see __init__
         f.image(z)  # pin f(z) now, so that check() only reads it
         cls.phi[v] = z
         return self

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from radograph import adjacent, realize
+from radograph.bignat import decode, encode
 from radograph.cli import main, parse_oracle_spec
 from radograph.oracle import (
     CompactFamily,
@@ -157,13 +159,17 @@ def test_good_check_planted_violation(capsys, tmp_path):
     assert data["error"]["condition"] == "(iv)"
 
 
+def _translated_snapshot(steps):
+    res = translate(CompactFamily([identity_oracle(), seeded_oracle({2: 3})]),
+                    build_c0(seed=0), steps)
+    return json.loads(json.dumps(res.triple.to_snapshot()))
+
+
 def test_good_check_reports_a_big_witness_as_json(capsys, tmp_path):
     # dropping the largest phi key, a Big, of the first class leaves a point
     # of h o g without phi: condition (ii) names it, encoded, and the CLI
     # prints its JSON error instead of failing to write a Big
-    res = translate(CompactFamily([identity_oracle(), seeded_oracle({2: 3})]),
-                    build_c0(seed=0), 8)
-    snap = json.loads(json.dumps(res.triple.to_snapshot()))
+    snap = _translated_snapshot(8)
     pairs = snap["phi"][0]["map"]
     assert isinstance(pairs[-1][0], dict)  # encode_map lists keys ascending
     del pairs[-1]
@@ -172,6 +178,40 @@ def test_good_check_reports_a_big_witness_as_json(capsys, tmp_path):
     rc, data = run_json(capsys, "good-check", "--snapshot", str(path))
     assert rc == 1
     assert data["error"]["condition"] == "(ii)"
+
+
+def test_good_check_reports_a_phi_value_the_target_never_touched(capsys, tmp_path):
+    # phi(3) of the first class moves to a fresh vertex with the same
+    # adjacency to the other values; 3 lies on no pair of h o g, so (iv)
+    # reads no image of it, and (v) finds a value the target never touched
+    snap = _translated_snapshot(6)
+    pairs = snap["phi"][0]["map"]
+    values = [decode(w) for _, w in pairs]
+    j = [decode(u) for u, _ in pairs].index(3)
+    tau = {w: adjacent(values[j], w) for k, w in enumerate(values) if k != j}
+    pairs[j][1] = encode(realize(tau, forbidden=[values[j]]))
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(snap))
+    rc, data = run_json(capsys, "good-check", "--snapshot", str(path))
+    assert rc == 1
+    assert data["error"] == {"ok": False, "condition": "(v)", "witness": 3}
+
+
+def test_good_check_reads_the_star_tasks_of_an_older_snapshot(capsys, tmp_path):
+    # a "star" task was ["star", pairs, "(*)0"] before the witness variants
+    # went; replay reads only the pairs, so such a snapshot checks as before
+    snap = _translated_snapshot(6)
+    stars = 0
+    for ref in [*snap["family_ref"], snap["target_ref"]]:
+        for task in ref["tasks"]:
+            if task[0] == "star":
+                task.append("(*)0")
+                stars += 1
+    assert stars > 0
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(snap))
+    rc, data = run_json(capsys, "good-check", "--snapshot", str(path))
+    assert rc == 0 and data["ok"] is True
 
 
 @pytest.mark.parametrize("key, value", [

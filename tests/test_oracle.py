@@ -10,16 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import radograph
 from radograph import PartialAutomorphism, adjacent, bignat, graph, oracle
-from radograph.errors import (
-    ConstructionConflict,
-    ImplementationFault,
-    NotConstructed,
-    UntouchedVertex,
-)
+from radograph.errors import ImplementationFault, NotConstructed, UntouchedVertex
 from radograph.oracle import (
-    STAR,
-    STAR0,
-    STAR1,
     AutomorphismOracle,
     CompactFamily,
     build_c0,
@@ -149,7 +141,7 @@ def test_replay_determinism_seeded():
 
 def orbit_pairs(o):
     """All (u, f^n(u), n) with n >= 1 inside built chains."""
-    for oid in range(o._next_oid):
+    for oid in range(len(o._chains)):
         chain = o.orbit_points(oid)
         for i, u in enumerate(chain):
             for j in range(i + 1, len(chain)):
@@ -224,21 +216,18 @@ def test_c0_condition4_spot_check():
     assert adjacency_count() == count  # no new adjacencies appear
 
 
-def test_star_witness_variants():
+def test_star_witness_first_edge_follows_the_orbit_pattern():
+    # the orbit's edge pattern alone fixes a witness's first f-edge: none in
+    # c0, and one in fp((0, 1)), whose points are adjacent at distance 1
     c0 = build_c0(seed=0)
     c0.develop(1)
-    v = c0.star_witness({}, STAR0)
+    v = c0.star_witness({})
     assert not adjacent(v, c0.image(v))
 
     fp = build_fp((0, 1), seed=0)
     fp.develop(1)
-    w = fp.star_witness({}, STAR1)
+    w = fp.star_witness({})
     assert adjacent(w, fp.image(w))
-
-    with pytest.raises(ConstructionConflict):
-        c0.star_witness({}, STAR1)
-    with pytest.raises(ConstructionConflict):
-        fp.star_witness({}, STAR0)
 
 
 def test_star_witness_realizes_tau_fresh_orbit():
@@ -247,7 +236,7 @@ def test_star_witness_realizes_tau_fresh_orbit():
     touched = o.touched()
     tau = {touched[0]: 1, touched[1]: 0}
     before = set(o.orbit_representatives())
-    v = o.star_witness(tau, STAR)
+    v = o.star_witness(tau)
     assert adjacent(v, touched[0]) and not adjacent(v, touched[1])
     assert v in set(o.orbit_representatives()) - before
     assert o.orbit_id(v) not in {o.orbit_id(t) for t in touched}
@@ -257,7 +246,7 @@ def test_orbit_api_errors():
     with pytest.raises(NotConstructed):
         identity_oracle().orbit_id(0)
     with pytest.raises(NotConstructed):
-        seeded_oracle(SWAP).star_witness({}, STAR)
+        seeded_oracle(SWAP).star_witness({})
     o = build_c0(seed=0)
     with pytest.raises(UntouchedVertex):
         o.orbit_id(999)
@@ -277,7 +266,7 @@ def test_constructed_image_consistency():
 def test_replay_constructed_exact():
     o = build_c0(seed=5)
     o.develop(2)
-    o.star_witness({o.orbit_representatives()[0]: 1}, STAR0)
+    o.star_witness({o.orbit_representatives()[0]: 1})
     o.image(17)
     copy = replay(o.to_json())
     assert copy.core() == o.core()
@@ -316,7 +305,7 @@ def test_task_log_keeps_own_copy_of_arguments():
     t = o.touched()
     tau = {t[0]: 1, t[1]: 0}
     a_set, b_set = {t[2]}, {t[3]}
-    o.star_witness(tau, STAR0)
+    o.star_witness(tau)
     o.c0_witness(a_set, b_set)
     data = o.to_json()
     tau[t[0]] = 0
@@ -333,7 +322,6 @@ def test_orbit_requirement_clash_is_an_implementation_fault():
     o.develop(1)
     last = o.orbit_points(0)[-1]
     o._constraints.setdefault(0, set()).add(last)
-    o._pending.pop(last, None)
     with pytest.raises(ImplementationFault, match=rf"at {last!r}\b"):
         o.image(last)
 

@@ -93,13 +93,14 @@ def test_translate_artefacts_are_pinned():
     # any drift in what the construction builds, or in the order it builds
     # target points, changes these digests; the snapshot's oracle refs are
     # replay logs and the certificates' are core records, each the earlier
-    # combined record with the other field dropped
+    # combined record with the other field dropped, and a "star" task of a
+    # replay log is ["star", pairs], the earlier task with its "(*)0" dropped
     res = translate(small_family(), build_c0(seed=0), 6)
     _, certs = truss_factor(seeded_oracle({2: 3}), 6)
     assert _sha256(res.to_json()) == (
         "dd7db5e1202ddf4390edd7e2bf6846bd3f5c51273d9a92b4ba535adce9e0813e")
     assert _sha256(res.triple.to_snapshot()) == (
-        "0106e51a0f8ef52c98611f92bb01f8e8e7bce23369d2b7839ca80f5264db6229")
+        "49cbcc08ab54babaca9a74396a89bb4961f87384134a507fad616e2538732a07")
     assert _sha256(certs) == (
         "1c090070a2f7c43ea3b81f65259392d33e7d1c8b3c3133c4d6be9e35ae5a1e4e")
 
@@ -194,6 +195,8 @@ def test_edge_witness_is_the_same_for_delta_full_and_repeated_checks():
 
 
 KINDS = ("g pair", "phi value", "phi key", "M point", "own slot")
+# the writes of the "phi value" turns, in rotation
+PHI_VALUES = ("phi value", "untouched value on h o g", "untouched value off h o g")
 
 
 def _fresh(vertices):
@@ -219,6 +222,15 @@ def _write_out_of_band(t, kind, rng):
         shared = [c.indices for c in classes if len(c.indices) > 1]
         i = rng.choice(rng.choice(shared) if shared else range(len(t._phi)))
         t._phi[i] = dict(t._phi[i])
+    elif kind in PHI_VALUES[1:]:
+        # a vertex the target never touched, with phi's adjacency kept, at a
+        # key on h o g, which (iv) meets, or off it, which only (v) meets
+        c = rng.choice([c for c in classes if c.phi])
+        on = [x for x in sorted(c.phi) if x in c.hg or x in c.ran]
+        off = [x for x in sorted(c.phi) if x not in on]
+        x = rng.choice((on if kind == PHI_VALUES[1] else off) or sorted(c.phi))
+        tau = {w: adjacent(c.phi[x], w) for y, w in c.phi.items() if y != x}
+        c.phi[x] = realize(tau, lower_bound=max(t.target.touched()))
     else:
         phi = rng.choice([c.phi for c in classes if c.phi])
         x = rng.choice(sorted(phi))
@@ -233,7 +245,9 @@ def test_delta_full_and_repeated_checks_agree_after_out_of_band_writes(monkeypat
     # green checks of 3- and 4-member families, a copy of the triple takes one
     # write outside the extension operations; its delta check, a full check
     # of the same state and a repeated check must give one report, witness
-    # included
+    # included, and none may build anything in the target. A phi value is
+    # overwritten with a touched target vertex, or with one the target never
+    # touched at a key on or off h o g
     real = GoodTriple.check
     rng = random.Random(15)
     seen = []
@@ -242,13 +256,17 @@ def test_delta_full_and_repeated_checks_agree_after_out_of_band_writes(monkeypat
         rep = real(t)
         if rep["ok"] and (not t.M or rng.random() < 0.08):
             kind = KINDS[len(seen) % len(KINDS)] if t.M else "own slot"
+            if kind == "phi value":
+                kind = PHI_VALUES[len(seen) // len(KINDS) % len(PHI_VALUES)]
             bad = copy.deepcopy(t)  # the run goes on with t
             _write_out_of_band(bad, kind, rng)
             twin = copy.deepcopy(bad)
             twin._reset_caches()
+            core = bad.target.core()
             full = real(twin)
             delta = real(bad)
             assert delta == real(bad) == full, kind  # the repeated check
+            assert bad.target.core() == core, kind  # check() built nothing
             seen.append((kind, full.get("condition", "ok")))
         return rep
 
@@ -259,8 +277,8 @@ def test_delta_full_and_repeated_checks_agree_after_out_of_band_writes(monkeypat
             ([identity_oracle(), seeded_oracle({2: 3}), seeded_oracle({0: 2}),
               seeded_oracle({5: 40})], 16)):
         translate(CompactFamily(members), build_c0(seed=0), steps)
-    assert {kind for kind, _ in seen} == set(KINDS)
-    assert {"ok", "(i)", "(ii)", "(vi)"} <= {cond for _, cond in seen}
+    assert {kind for kind, _ in seen} == set(KINDS + PHI_VALUES)
+    assert {"ok", "(i)", "(ii)", "(iv)", "(v)", "(vi)"} <= {cond for _, cond in seen}
 
 
 def test_translate_asks_each_member_only_for_what_is_new():

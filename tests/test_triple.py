@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radograph import adjacent, realize
-from radograph.bignat import decode, decode_map, encode_map
+from radograph.bignat import decode, decode_map, encode, encode_map
 from radograph.errors import (
     AlreadyDefined,
     ConstructionConflict,
@@ -21,6 +21,7 @@ from radograph.oracle import (
     seeded_oracle,
 )
 from radograph import triple
+from radograph.translate import translate
 from radograph.triple import BadSituation, GoodTriple, _join, _root
 
 from naive_checker import _components, _has_cycle
@@ -188,7 +189,7 @@ def planted_bad():
     f = t.target
     # x=0 pulls back to 0 in c1 and pushes to x'=1 in the other class; plant
     # an edge between phi(0) and f(phi(4)) only on the identity side
-    x_new = f.star_witness({f.image(c1.phi[4]): 1}, "(*)0")
+    x_new = f.star_witness({f.image(c1.phi[4]): 1})
     c1.phi[0] = x_new
     return t
 
@@ -228,7 +229,7 @@ def _plant_ugly():
     # towards phi(5) that (i) asks, but adjacent to f(phi(5))
     t, (cid, _) = _two_classes({0, 5}, [(5,), ()])
     f = t.target
-    z = f.star_witness({cid.phi[5]: adjacent(0, 5), f.image(cid.phi[5]): 1}, "(*)0")
+    z = f.star_witness({cid.phi[5]: adjacent(0, 5), f.image(cid.phi[5]): 1})
     f.image(z)
     cid.phi[0] = z
     return t
@@ -241,7 +242,7 @@ def _plant_bad():
     t, (cid, ch) = _two_classes({0, 1, 5}, [(1,), (5, 1)])
     f = t.target
     rhs = adjacent(ch.phi[5], f.image(ch.phi[1]))
-    z = f.star_witness({cid.phi[1]: adjacent(0, 1), f.image(cid.phi[1]): not rhs}, "(*)0")
+    z = f.star_witness({cid.phi[1]: adjacent(0, 1), f.image(cid.phi[1]): not rhs})
     f.image(z)
     cid.phi[0] = z
     return t
@@ -300,7 +301,7 @@ def test_bad_situation_at_an_old_x_and_a_new_y_found():
     lhs = adjacent(cid.phi[0], f.image(cid.phi[1]))
     tau = {pw: adjacent(1, w) for w, pw in ch.phi.items()}
     tau[f.preimage(ch.phi[5])] = not lhs
-    ch.phi[1] = f.star_witness(tau, "(*)0")
+    ch.phi[1] = f.star_witness(tau)
     f.image(ch.phi[1])
     rep = t.check()
     assert rep["condition"] == "(x)"
@@ -430,6 +431,47 @@ def test_snapshot_g_leaving_m_fails_ii():
     rep = t.check()
     assert rep["ok"] is False
     assert rep["condition"] == "(ii)"
+
+
+def _one_value_mutants(snap):
+    """(i, key, copy) for each phi key of each snapshot class i: a copy of
+    snap in which that key's value moved to a fresh vertex with the same
+    adjacency to the other values of the map, so phi stays a partial
+    automorphism."""
+    for i, entry in enumerate(snap["phi"]):
+        for j, (key, _) in enumerate(entry["map"]):
+            bad = copy.deepcopy(snap)
+            pairs = bad["phi"][i]["map"]
+            values = [decode(w) for _, w in pairs]
+            tau = {w: adjacent(values[j], w) for k, w in enumerate(values) if k != j}
+            pairs[j][1] = encode(realize(tau, forbidden=[values[j]]))
+            yield i, decode(key), bad
+
+
+def test_check_reports_a_phi_value_the_target_never_built():
+    # every mutant moves a phi value to a vertex the target never touched.
+    # check() reports each without raising and without building anything in
+    # the target: (iv), which reads f(phi(v)) from the target's core, where
+    # the key lies on a pair of h o g, else (v), naming the key
+    res = translate(CompactFamily([identity_oracle(), seeded_oracle({2: 3})]),
+                    build_c0(seed=0), 6)
+    snap = json.loads(json.dumps(res.triple.to_snapshot()))
+    fam = CompactFamily([replay(log) for log in snap["family_ref"]])
+    target = replay(snap["target_ref"])
+    core = target.core()
+    hg = [set(c.hg.items()) for c in res.triple.classes()]
+    conditions = []
+    for i, key, bad in _one_value_mutants(snap):
+        moved = decode_map(bad["phi"][i]["map"])[key]
+        assert moved not in target.touched()
+        rep = GoodTriple.from_snapshot(bad, fam, target).check()
+        assert target.core() == core
+        if any(key in pair for pair in hg[i]):
+            assert rep["condition"] == "(iv)", key
+        else:
+            assert rep == {"ok": False, "condition": "(v)", "witness": encode(key)}
+        conditions.append(rep["condition"])
+    assert (conditions.count("(iv)"), conditions.count("(v)")) == (21, 7)
 
 
 def test_snapshot_mismatched_phi_rejected():
