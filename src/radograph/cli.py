@@ -84,10 +84,17 @@ def _emit(data, args):
         print(json.dumps(data))
 
 
-def _write_trace(args, payload):
-    if getattr(args, "trace", None):
+def _translation(args, res):
+    """A translation's JSON with its trace counted; the trace is encoded and
+    written only to --trace FILE, when that is given."""
+    if args.trace:
+        data = res.to_json()
         with open(args.trace, "w") as fh:
-            json.dump(payload, fh)
+            json.dump(data["trace"], fh)
+    else:
+        data = res.summary()
+    data["trace"] = f"{len(res.trace)} entries (use --trace FILE)"
+    return data
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -154,12 +161,7 @@ class CheckFailure(RadographError):
 
 def cmd_translate(args):
     fam = CompactFamily([parse_oracle_spec(s) for s in args.family])
-    res = translate(fam, build_c0(seed=args.seed or 0), args.steps)
-    data = res.to_json()
-    _write_trace(args, data["trace"])
-    if not args.full:
-        data["trace"] = f"{len(data['trace'])} entries (use --trace FILE)"
-    return data
+    return _translation(args, translate(fam, build_c0(seed=args.seed or 0), args.steps))
 
 
 def cmd_conjugate_c0(args):
@@ -176,8 +178,7 @@ def cmd_conjugate_c0(args):
 def cmd_truss(args):
     h = parse_oracle_spec(args.h)
     res, certs = truss_factor(h, args.steps)
-    data = res.to_json()
-    _write_trace(args, data["trace"])
+    data = _translation(args, res)
     return {
         "g": data["g"],
         "steps": data["steps"],
@@ -255,7 +256,6 @@ def build_parser():
     s = sub.add_parser("translate")
     s.add_argument("--family", action="append", required=True)
     s.add_argument("--steps", type=int, required=True)
-    s.add_argument("--full", action="store_true", help="inline the full trace")
     s.set_defaults(fn=cmd_translate)
 
     s = sub.add_parser("conjugate-c0")

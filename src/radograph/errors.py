@@ -24,10 +24,6 @@ class EdgeViolation(RadographError):
         self.v = v
 
 
-class CycleDetected(RadographError):
-    pass
-
-
 class NotConstructed(RadographError):
     """Raised when an orbit-level operation is asked of a non-constructed oracle."""
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .bignat import encode_map
-from .errors import CycleDetected, EdgeViolation, NotInjective
+from .errors import EdgeViolation, NotInjective
 from .graph import adjacent, edges
 
 
@@ -15,13 +15,11 @@ class PartialAutomorphism:
 
     def __init__(self, pairs=()):
         self._fwd = {}
-        self._bwd = {}
         items = pairs.items() if hasattr(pairs, "items") else pairs
         for u, v in items:
             if u in self._fwd:
                 raise ValueError(f"duplicate domain vertex {u!r}")
             self._fwd[u] = v
-            self._bwd.setdefault(v, u)
 
     def __len__(self):
         return len(self._fwd)
@@ -44,51 +42,36 @@ class PartialAutomorphism:
         extension_error with every pair new."""
         return extension_error((), list(self._fwd.items()), {})
 
-    def backward_end(self, v):
-        """Follow the map backward from v until it leaves the range."""
-        seen = {v}
-        while v in self._bwd:
-            v = self._bwd[v]
-            if v in seen:
-                raise CycleDetected(f"backward chain from {v!r} closes up")
-            seen.add(v)
-        return v
-
     def orbit_paths(self):
         """Decompose the map into maximal chains and closed cycles.
 
         Returns a list of {"kind": "path"|"cycle", "vertices": [...]}, each
-        chain listed from its backward end, each cycle from its least vertex.
+        chain listed from its backward end, each cycle from its least vertex,
+        ordered by first vertex. On an injective map a backward walk either
+        leaves the range or comes back round to its start, on a cycle. A map
+        that is not injective raises NotInjective, since its walks need not end.
         """
+        fwd = self._fwd
+        bwd = {v: u for u, v in fwd.items()}
+        if len(bwd) < len(fwd):
+            raise NotInjective("orbit_paths needs an injective map")
         out = []
         visited = set()
-        for start in self._fwd:
+        for start in fwd:
             if start in visited:
                 continue
-            try:
-                v = self.backward_end(start)
-            except CycleDetected:
-                # walk the cycle containing start
-                cyc = [start]
-                v = self._fwd[start]
-                while v != start:
-                    cyc.append(v)
-                    v = self._fwd[v]
-                if cyc[0] in visited:
-                    continue
-                least = cyc.index(min(cyc))
-                cyc = cyc[least:] + cyc[:least]
-                visited.update(cyc)
-                out.append({"kind": "cycle", "vertices": cyc})
-                continue
-            if v in visited:
-                continue
-            path = [v]
-            while v in self._fwd:
-                v = self._fwd[v]
-                path.append(v)
-            visited.update(path)
-            out.append({"kind": "path", "vertices": path})
+            first = start
+            while first in bwd and bwd[first] != start:
+                first = bwd[first]
+            vertices = [first]
+            while vertices[-1] in fwd and fwd[vertices[-1]] != first:
+                vertices.append(fwd[vertices[-1]])
+            visited.update(vertices)
+            if first in bwd:  # the walk came back round to start
+                least = vertices.index(min(vertices))
+                out.append({"kind": "cycle", "vertices": vertices[least:] + vertices[:least]})
+            else:
+                out.append({"kind": "path", "vertices": vertices})
         out.sort(key=lambda o: o["vertices"][0])
         return out
 

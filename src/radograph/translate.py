@@ -8,8 +8,12 @@ up to date rather than derives again. The check re-tests only what the step
 added: the new pairs of g, of each phi and of each h o g, and the points of
 M* that a new phi key pulls back or that are new. It runs in full for the
 first check of a triple, and after a failed check or an overwritten or
-dropped pair (see the triple module). Everything is logged to a trace so the
-schedule promises can be audited afterwards.
+dropped pair (see the triple module). Every step is logged to a trace so the
+schedule promises can be audited afterwards. An entry names the round, its
+parity, the operation, its argument as given (a vertex, the add_to_m list
+[v, *images], or None for the init entry) and the green check report that
+followed it: a failed check raises instead. The trace holds vertices, and
+only TranslationResult.to_json() encodes them.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ class TranslationResult:
         self.triple, self.trace, self.steps_run = triple, trace, steps_run
 
     def checks_passed(self):
-        return sum(1 for e in self.trace if e.get("check", {}).get("ok"))
+        return len(self.trace)  # _record raises on a failed check
 
-    def to_json(self):
+    def summary(self):
+        """to_json() without the trace."""
         t = self.triple
         return {
             "steps": self.steps_run,
@@ -44,12 +49,23 @@ class TranslationResult:
             "m_size": len(t.M),
             "classes": len(t.classes()),
             "checks_passed": self.checks_passed(),
-            "trace": self.trace,
         }
+
+    def to_json(self):
+        return {**self.summary(),
+                "trace": [{**e, "arg": _encode_arg(e["arg"])} for e in self.trace]}
+
+
+def _encode_arg(arg):
+    if isinstance(arg, list):
+        return [encode(v) for v in arg]
+    return None if arg is None else encode(arg)
 
 
 def _record(t, trace, round_no, parity, op, arg):
     rep = t.check()
+    if not rep["ok"]:
+        raise ImplementationFault(f"check failed after {op}: {rep}")
     trace.append({
         "round": round_no,
         "parity": parity,
@@ -57,8 +73,6 @@ def _record(t, trace, round_no, parity, op, arg):
         "arg": arg,
         "check": rep,
     })
-    if not rep["ok"]:
-        raise ImplementationFault(f"check failed after {op}: {rep}")
 
 
 def _even_round(t, trace, round_no):
@@ -69,24 +83,24 @@ def _even_round(t, trace, round_no):
     images = sorted({h.image(v) for h in t.family})
     t.add_to_m({v})
     t.add_to_m(images)
-    _record(t, trace, round_no, "even", "add_to_m", [encode(v)] + [encode(w) for w in images])
+    _record(t, trace, round_no, "even", "add_to_m", [v, *images])
     classes = t.classes()
     for cls in classes:
         if v not in cls.phi:
             t.extend_phi(classes, cls, v)
-            _record(t, trace, round_no, "even", "extend_phi", encode(v))
+            _record(t, trace, round_no, "even", "extend_phi", v)
     if v not in t.g:
         t.extend_domain_g(v)
-        _record(t, trace, round_no, "even", "extend_domain_g", encode(v))
+        _record(t, trace, round_no, "even", "extend_domain_g", v)
     classes = t.classes()
     for w in images:
         for cls in classes:
             if w not in cls.phi:
                 t.extend_phi(classes, cls, w)
-                _record(t, trace, round_no, "even", "extend_phi", encode(w))
+                _record(t, trace, round_no, "even", "extend_phi", w)
     if v not in t.g_inv:
         t.extend_range_g(v)
-        _record(t, trace, round_no, "even", "extend_range_g", encode(v))
+        _record(t, trace, round_no, "even", "extend_range_g", v)
     return v
 
 
@@ -105,7 +119,7 @@ def _odd_round(t, trace, round_no):
         t.target.develop(1)
         z = _uncovered(t)
     t.extend_phi_range(z)
-    _record(t, trace, round_no, "odd", "extend_phi_range", encode(z))
+    _record(t, trace, round_no, "odd", "extend_phi_range", z)
     return z
 
 
@@ -115,8 +129,7 @@ def translate(family, target, steps):
         raise ValueError(f"steps must be non-negative, not {steps}")
     t = GoodTriple(family, target)
     trace = []
-    trace.append({"round": 0, "parity": "init", "op": "init", "arg": None,
-                  "check": t.check()})
+    _record(t, trace, 0, "init", "init", None)
     for n in range(1, steps + 1):
         if n % 2 == 1:
             _odd_round(t, trace, n)

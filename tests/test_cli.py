@@ -243,6 +243,30 @@ def test_translate_command_with_trace(capsys, tmp_path):
     assert data["checks_passed"] == len(trace)
 
 
+@pytest.mark.parametrize("argv", [
+    ["translate", "--family", "id", "--family", "pairs:2-3", "--family", "pairs:0-2",
+     "--steps", "8"],
+    ["truss", "--h", "pairs:2-3", "--steps", "8"],
+])
+def test_trace_file_is_the_library_trace(capsys, tmp_path, argv):
+    # the CLI encodes the trace only for --trace FILE, and what it writes is
+    # to_json()'s trace of the same run, byte for byte
+    trace_file = tmp_path / "trace.json"
+    rc, with_file = run_json(capsys, "--trace", str(trace_file), *argv)
+    assert rc == 0
+    rc, without = run_json(capsys, *argv)
+    assert rc == 0
+    assert with_file == without
+    if argv[0] == "translate":
+        fam = CompactFamily([parse_oracle_spec(s) for s in argv[2:-2:2]])
+        res = translate(fam, build_c0(seed=0), 8)
+        assert without["trace"] == f"{len(res.trace)} entries (use --trace FILE)"
+    else:
+        res, _ = truss_factor(parse_oracle_spec("pairs:2-3"), 8)
+    assert trace_file.read_text() == json.dumps(res.to_json()["trace"])
+    assert any(isinstance(e["arg"], dict) for e in res.to_json()["trace"])  # a Big
+
+
 def test_conjugate_c0_command(capsys):
     rc, data = run_json(
         capsys, "conjugate-c0", "--seed-a", "0", "--seed-b", "1", "--depth", "6"

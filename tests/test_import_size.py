@@ -9,7 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # AST nodes of radograph/__init__.py and the modules perfbench/worker.py
 # loads, pinned at the measured count of the last change that lowered it;
 # raising it needs a reason in CHANGES.md
-CEILING = 13_742
+CEILING = 13_681
 
 
 def _worker_modules():

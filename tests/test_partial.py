@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from radograph import adjacent, partial, PartialAutomorphism
 from radograph.bignat import INT_BIT_LIMIT, from_bits
-from radograph.errors import CycleDetected, EdgeViolation, NotInjective
+from radograph.errors import EdgeViolation, NotInjective
 from radograph.graph import edges
 from radograph.oracle import build_c0, seeded_oracle
 from radograph.partial import extension_error
@@ -37,18 +38,6 @@ def test_duplicate_domain_rejected():
         PartialAutomorphism([(0, 1), (0, 2)])
 
 
-def test_chain_ends():
-    p = PartialAutomorphism({0: 5, 5: 9})
-    assert p.backward_end(9) == 0
-    assert p.backward_end(7) == 7
-
-
-def test_cycle_detected():
-    p = PartialAutomorphism({0: 1, 1: 0})
-    with pytest.raises(CycleDetected):
-        p.backward_end(0)
-
-
 def test_orbit_paths_mixed():
     p = PartialAutomorphism({0: 5, 5: 9, 2: 3, 3: 2, 7: 8})
     paths = p.orbit_paths()
@@ -57,6 +46,12 @@ def test_orbit_paths_mixed():
     assert kinds[(2, 3)] == "cycle"
     assert kinds[(7, 8)] == "path"
     assert len(paths) == 3
+
+
+def test_orbit_paths_rejects_a_map_that_is_not_injective():
+    # the walk 0, 1, 2, 1, ... never ends
+    with pytest.raises(NotInjective):
+        PartialAutomorphism({0: 1, 1: 2, 2: 1}).orbit_paths()
 
 
 def test_json_roundtrip_sorted():
@@ -204,3 +199,55 @@ def test_full_check_counts_edges_instead_of_scanning_pairs(monkeypatch):
     calls.clear()
     assert all(verify(c)["ok"] for c in certs)
     assert len(calls) <= 400  # a pairwise scan makes 4 594
+
+
+def _brute_orbits(fwd):
+    """The chains and cycles of an injective map from its connected
+    components: a component with as many pairs as vertices is a cycle, listed
+    from its least vertex, and any other a chain, listed from its one vertex
+    outside the range."""
+    comp = {v: {v} for v in [*fwd, *fwd.values()]}
+    for u, v in fwd.items():
+        if comp[u] is not comp[v]:
+            merged = comp[u] | comp[v]
+            for w in merged:
+                comp[w] = merged
+    out = []
+    for c in {id(c): c for c in comp.values()}.values():
+        n = sum(1 for v in c if v in fwd)
+        cycle = n == len(c)
+        seq = [min(c) if cycle else next(v for v in c if v not in fwd.values())]
+        for _ in range(n - cycle):
+            seq.append(fwd[seq[-1]])
+        out.append({"kind": "cycle" if cycle else "path", "vertices": seq})
+    return sorted(out, key=lambda o: o["vertices"][0])
+
+
+def test_orbit_paths_matches_components_on_random_injective_maps():
+    # seeded maps of chains and cycles over ints and Bigs, keys in shuffled
+    # order: a chain's first key is often mid-chain and a cycle's often not
+    # its least vertex, and both cases must occur
+    rng = random.Random(25)
+    pool = sorted(set(range(24)) | set(POOL))
+    mid_chain = off_least = 0
+    for _ in range(400):
+        vertices = rng.sample(pool, rng.randrange(1, 14))
+        items = []
+        while vertices:
+            k = rng.randrange(1, len(vertices) + 1)
+            part, vertices = vertices[:k], vertices[k:]
+            if rng.random() < 0.4:
+                items += zip(part, part[1:] + part[:1])
+            else:
+                items += zip(part, part[1:])
+        rng.shuffle(items)
+        fwd = dict(items)
+        want = _brute_orbits(fwd)
+        assert PartialAutomorphism(fwd).orbit_paths() == want
+        order = list(fwd)
+        for o in want:
+            first_key = min((v for v in o["vertices"] if v in fwd), key=order.index)
+            if first_key != o["vertices"][0]:
+                mid_chain += o["kind"] == "path"
+                off_least += o["kind"] == "cycle"
+    assert mid_chain > 50 and off_least > 50

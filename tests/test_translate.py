@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from radograph import adjacent, realize
-from radograph.bignat import decode_map, encode_map
+from radograph.bignat import decode_map, encode, encode_map
 from radograph.errors import CertificateError, FiniteOrbitsUnsupported, NotC0Built
 from radograph.graph import edges
 from radograph.oracle import (
@@ -48,6 +48,21 @@ def test_translate_checks_every_step():
     assert len(res.trace) > 6
     assert all(e["check"]["ok"] for e in res.trace)
     assert res.checks_passed() == len(res.trace)
+
+
+def test_translate_encodes_nothing_until_to_json(monkeypatch):
+    # the trace holds vertices; a run that encoded each entry's argument as
+    # it went spent most of its time in encode at 20 steps of a 4-member family
+    calls = []
+    monkeypatch.setattr("radograph.translate.encode", lambda v: calls.append(v) or encode(v))
+    fam = CompactFamily([identity_oracle(), seeded_oracle({2: 3}), seeded_oracle({0: 2}),
+                         seeded_oracle({5: 40})])
+    res = translate(fam, build_c0(seed=0), 20)
+    assert calls == []
+    assert res.checks_passed() == len(res.trace) > 20
+    # truss_factor encodes only its certificates' checked points
+    _, certs = truss_factor(seeded_oracle({2: 3}), 12)
+    assert len(calls) == sum(len(c["checked_points"]) for c in certs)
 
 
 def test_translate_even_round_schedule():
@@ -275,7 +290,7 @@ def test_delta_full_and_repeated_checks_agree_after_out_of_band_writes(monkeypat
             ([identity_oracle(), seeded_oracle({2: 3}), seeded_oracle({0: 2})], 24),
             ([identity_oracle(), seeded_oracle({1: 9}), seeded_oracle({4: 30})], 20),
             ([identity_oracle(), seeded_oracle({2: 3}), seeded_oracle({0: 2}),
-              seeded_oracle({5: 40})], 16)):
+              seeded_oracle({5: 40})], 20)):
         translate(CompactFamily(members), build_c0(seed=0), steps)
     assert {kind for kind, _ in seen} == set(KINDS + PHI_VALUES)
     assert {"ok", "(i)", "(ii)", "(iv)", "(v)", "(vi)"} <= {cond for _, cond in seen}
