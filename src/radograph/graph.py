@@ -13,7 +13,7 @@ vertex argument is canonical (see ``bignat``).
 from __future__ import annotations
 
 from . import bignat
-from .bignat import INT_BIT_LIMIT, Big
+from .bignat import Big
 from .errors import ImplementationFault
 
 
@@ -45,11 +45,12 @@ def edges(vertices):
     ``int`` w they are the set bits of ``w & mask``, where ``mask`` holds the
     ``int`` members below ``INT_BIT_LIMIT``. That mask is exact, since no
     canonical ``int`` has a set bit at or above ``INT_BIT_LIMIT`` and no
-    ``Big`` is a bit of an ``int``."""
+    ``Big`` is a bit of an ``int``. The limit is read from ``bignat`` at call
+    time, so that its one definition there holds here too."""
     vertices = set(vertices)
     mask = 0
     for u in vertices:
-        if isinstance(u, int) and u < INT_BIT_LIMIT:
+        if isinstance(u, int) and u < bignat.INT_BIT_LIMIT:
             mask |= 1 << u
     for w in vertices:
         if isinstance(w, Big):

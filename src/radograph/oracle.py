@@ -326,10 +326,12 @@ class AutomorphismOracle:
             field: value,
         }
 
-    def core_record(self):
+    def core_record(self, points):
         """The oracle as a certificate embeds it: the header and the core
-        map, which is all that ``verify`` reads."""
-        return self._record("core", encode_map(self._fwd))
+        restricted to ``points``, the vertices at which ``verify`` reads it.
+        A point outside the core is a KeyError: the certificate builders
+        pin every point they pass."""
+        return self._record("core", encode_map({v: self._fwd[v] for v in points}))
 
     def to_json(self):
         """The replay log: the header and the task log, which is all that
@@ -426,11 +428,7 @@ class CompactFamily:
     def __len__(self):
         return len(self.members)
 
-    def family_preimage(self, m_set):
-        """Preimages of m_set under every member, asked in sorted order: a
-        miss extends a lazily built member, so the order fixes what it builds."""
-        order = sorted(m_set)
-        return {h.preimage(v) for h in self.members for v in order}
-
     def m_star(self, m_set):
-        return set(m_set) | self.family_preimage(m_set)
+        """m_set and its preimages under every member, asked in sorted order: a
+        miss extends a lazily built member, so the order fixes what it builds."""
+        return set(m_set) | {h.preimage(v) for h in self.members for v in sorted(m_set)}

@@ -222,10 +222,9 @@ def truss_factor(h, steps):
     """Translate {id, h} onto the edge-free-orbit target f = build_c0(0);
     the certificates witness, per member h', the pointwise identity
     phi(h'(g(v))) = f(phi(v)), i.e. that g and h o g both act like f up to
-    conjugation at every checked point. The target is encoded once: the
-    certificates share one f_ref object."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, not {steps}")
+    conjugation at every checked point. Each certificate embeds f and h'
+    only at the points where verify reads them. A negative step count is
+    rejected by translate, before it builds a triple."""
     if h.declared_finite_orbits:
         raise FiniteOrbitsUnsupported("h must not declare finite orbits")
     members = [identity_oracle()]
@@ -238,9 +237,8 @@ def truss_factor(h, steps):
     # every phi value's f-image was built with the value, and classes() asked
     # every member for its image at each point of M, which holds ran(g); so
     # the cores already hold f(phi(v)) and h(g(v)) at every checked point
-    f_ref = target.core_record()
-    return res, [_certificate(f_ref, member, t.g, phi)
-                 for member, phi in zip(family.members, t._phi)]
+    return res, [_certificate(target, member, t.g, phi)
+                 for member, phi in zip(family, t._phi)]
 
 
 def conjugation_certificate(f, fp, phi):
@@ -249,21 +247,25 @@ def conjugation_certificate(f, fp, phi):
     for v in fwd:
         if f.image(v) in fwd:
             fp.image(fwd[v])  # pin fp(phi(v)) into the serialized core
-    return _certificate(fp.core_record(), f, None, fwd)
+    return _certificate(fp, f, None, fwd)
 
 
-def _certificate(f_ref, h, g, phi):
-    """The one certificate shape: the target's and h's core records (h the
-    identity is "id"), g (None for the identity), phi, and the points that
-    checked_points derives from these maps."""
+def _certificate(f, h, g, phi):
+    """The one certificate shape: g (None for the identity), phi, the points
+    that checked_points derives from these maps and h's core, and the core
+    records of the target f and of h (h the identity is "id"). Each record
+    holds only the pairs that verify reads: f at phi(v), and h at g(v) (at v
+    when g is None), for each checked point v; an empty g checks no point."""
     hcore = None if h.kind == "identity" else h._fwd
+    points = checked_points(phi, g, hcore)
     return {
         "kind": "conjugation",
-        "f_ref": f_ref,
-        "h_ref": "id" if hcore is None else h.core_record(),
+        "f_ref": f.core_record(map(phi.get, points)),
+        "h_ref": "id" if hcore is None else h.core_record(
+            map(g.get, points) if g else points),
         "g": None if g is None else encode_map(g),
         "phi": encode_map(phi),
-        "checked_points": [encode(v) for v in checked_points(phi, g, hcore)],
+        "checked_points": [encode(v) for v in points],
     }
 
 
@@ -289,7 +291,10 @@ def verify(cert):
     exactly the points that checked_points() derives from the maps, and
     there must be one. At each of them, the identity phi(h(g(v))) =
     f(phi(v)) is evaluated by pure lookups in the embedded finite maps; a
-    missing f(phi(v)) or a mismatch rejects."""
+    missing f(phi(v)) or a mismatch rejects. The builders embed f only at
+    phi(v) and h only at g(v) for the checked points v; since every read is
+    a lookup, a record with more pairs, such as a whole core, gives the
+    same report."""
     try:
         if cert.get("kind") != "conjugation":
             raise CertificateError("not a conjugation certificate")

@@ -82,7 +82,7 @@ def test_core_stays_partial_automorphism(queries):
 
 def test_family_ops_frozen():
     fam = CompactFamily([seeded_oracle(SWAP)])
-    assert fam.family_preimage({0}) == {1}
+    assert {h.preimage(0) for h in fam} == {1}
     assert fam.m_star({0}) == {0, 1}
     idfam = CompactFamily([identity_oracle()])
     assert idfam.m_star({3}) == {3}
@@ -437,10 +437,10 @@ def _sha256(obj):
 
 
 def _log_and_core(o):
-    """The replay log and the core record as one object: the JSON that
-    to_json wrote before the two records were split, so the digests of
+    """The replay log and the whole core's record as one object: the JSON
+    that to_json wrote before the two records were split, so the digests of
     that format still pin what develop and sample build."""
-    return {**o.to_json(), **o.core_record()}
+    return {**o.to_json(), **o.core_record(o._fwd)}
 
 
 def test_develop_and_sample_artefacts_are_pinned():

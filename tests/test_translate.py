@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from radograph import adjacent, realize
-from radograph.bignat import decode_map, encode, encode_map
+from radograph.bignat import decode, decode_map, encode, encode_map
 from radograph.errors import CertificateError, FiniteOrbitsUnsupported, NotC0Built
 from radograph.graph import edges
 from radograph.oracle import (
@@ -109,7 +109,8 @@ def test_translate_artefacts_are_pinned():
     # target points, changes these digests; the snapshot's oracle refs are
     # replay logs and the certificates' are core records, each the earlier
     # combined record with the other field dropped, and a "star" task of a
-    # replay log is ["star", pairs], the earlier task with its "(*)0" dropped
+    # replay log is ["star", pairs], the earlier task with its "(*)0" dropped;
+    # a certificate's core record holds only the pairs that verify reads
     res = translate(small_family(), build_c0(seed=0), 6)
     _, certs = truss_factor(seeded_oracle({2: 3}), 6)
     assert _sha256(res.to_json()) == (
@@ -117,7 +118,7 @@ def test_translate_artefacts_are_pinned():
     assert _sha256(res.triple.to_snapshot()) == (
         "49cbcc08ab54babaca9a74396a89bb4961f87384134a507fad616e2538732a07")
     assert _sha256(certs) == (
-        "1c090070a2f7c43ea3b81f65259392d33e7d1c8b3c3133c4d6be9e35ae5a1e4e")
+        "8034ec23a3cb22c763804bebc32f88d585db12bb0ff706b19ab096c5f3e07f02")
 
 
 def test_cached_check_agrees_with_full_check(monkeypatch):
@@ -439,18 +440,34 @@ CORE_FIELDS = {"seed", "kind", "pattern", "core"}
 CERT_FIELDS = {"kind", "f_ref", "h_ref", "g", "phi", "checked_points"}
 
 
+def _read_pairs(cert, f, h):
+    """The pairs of the live oracles f and h at which verify reads them:
+    f at phi(v) and h at g(v) (v when g is None) for each checked point v."""
+    phi = decode_map(cert["phi"])
+    g = None if cert["g"] is None else decode_map(cert["g"])
+    points = [decode(p) for p in cert["checked_points"]]
+    gv = points if g is None else [g[v] for v in points]
+    return ({phi[v]: f.image(phi[v]) for v in points},
+            None if h is None else {w: h.image(w) for w in gv})
+
+
 def test_certificates_embed_core_records_without_task_logs():
-    _, certs = truss_factor(seeded_oracle({3: 90}), 10)
+    h = seeded_oracle({3: 90})
+    res, certs = truss_factor(h, 10)
     f, fp = build_c0(seed=0), build_c0(seed=1)
     conj = conjugation_certificate(f, fp, conjugate_c0(f, fp, 16))
     assert certs[0]["h_ref"] == "id"
-    for cert in [*certs, conj]:
+    target = res.triple.target
+    for cert, (tf, th) in zip([*certs, conj], [(target, None), (target, h), (fp, f)]):
         assert set(cert) == CERT_FIELDS
         assert set(cert["f_ref"]) == CORE_FIELDS
         assert cert["h_ref"] == "id" or set(cert["h_ref"]) == CORE_FIELDS
         assert verify(cert)["ok"]
-    assert certs[0]["f_ref"] is certs[1]["f_ref"]
-    assert conj["g"] is None and conj["h_ref"] == f.core_record()
+        fread, hread = _read_pairs(cert, tf, th)
+        # each record's core is exactly the oracle's pairs at the read points
+        assert decode_map(cert["f_ref"]["core"]) == fread
+        assert hread is None or decode_map(cert["h_ref"]["core"]) == hread
+    assert conj["g"] is None
 
 
 def test_verify_ignores_the_task_log_of_an_old_certificate():
@@ -466,6 +483,38 @@ def test_verify_ignores_the_task_log_of_an_old_certificate():
         assert verify(old) == verify(cert)
 
 
+def _certificates_with_oracles():
+    """(certificate, target, member or None for the identity) for truss runs
+    over several seeds and step counts, and for conjugate_c0 certificates."""
+    for pairs, steps in (({0: 2}, 6), ({3: 90}, 10), ({2: 3}, 13), ({5: 40}, 16)):
+        h = seeded_oracle(pairs)
+        res, certs = truss_factor(h, steps)
+        yield from zip(certs, [res.triple.target] * 2, [None, h])
+    for a, b, depth in ((0, 1, 12), (3, 4, 24)):
+        f, fp = build_c0(a), build_c0(b)
+        yield conjugation_certificate(f, fp, conjugate_c0(f, fp, depth)), fp, f
+
+
+def test_pruned_certificates_verify_as_full_core_ones_and_need_every_pair():
+    for cert, f, h in _certificates_with_oracles():
+        rep = verify(cert)
+        assert rep["ok"], rep
+        # the certificate as it was written before records were pruned:
+        # the whole core of each live oracle
+        full = dict(cert, f_ref=f.core_record(f._fwd),
+                    h_ref="id" if h is None else h.core_record(h._fwd))
+        assert len(full["f_ref"]["core"]) > len(cert["f_ref"]["core"])
+        assert verify(full) == rep
+        # every kept pair is read: dropping any one of them rejects
+        for ref in ("f_ref", "h_ref"):
+            if cert[ref] == "id":
+                continue
+            pairs = cert[ref]["core"]
+            for i in range(len(pairs)):
+                bad = dict(cert, **{ref: dict(cert[ref], core=pairs[:i] + pairs[i + 1:])})
+                assert verify(bad)["ok"] is False, (ref, i)
+
+
 def test_verify_derives_the_checked_set():
     _, certs = truss_factor(seeded_oracle({3: 90}), 10)
     cert = certs[-1]
@@ -479,15 +528,23 @@ def test_verify_derives_the_checked_set():
                                "reason": "checked_points differ from the derived set"}
 
 
-# bytes of truss_factor(seeded_oracle({3: 90}), 10)'s certificates as sorted,
-# compact JSON, pinned at the count of the change that added this guard;
-# raising it needs a reason in CHANGES.md
-CERT_BYTES = 90_048
+# bytes of truss_factor(seeded_oracle({3: 90}), 10)'s certificates and of a
+# depth-32 conjugate_c0(build_c0(0), build_c0(1)) certificate as sorted,
+# compact JSON, each pinned at the count of the last change that lowered it;
+# raising one needs a reason in CHANGES.md
+CERT_BYTES = 45_968
+C0_CERT_BYTES = 3_468
+
+
+def _payload(obj):
+    return len(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def test_certificate_payload_stays_under_its_pin():
     _, certs = truss_factor(seeded_oracle({3: 90}), 10)
-    assert len(json.dumps(certs, sort_keys=True, separators=(",", ":"))) <= CERT_BYTES
+    assert _payload(certs) <= CERT_BYTES
+    f, fp = build_c0(0), build_c0(1)
+    assert _payload(conjugation_certificate(f, fp, conjugate_c0(f, fp, 32))) <= C0_CERT_BYTES
 
 
 def test_verify_rejects_phi_sending_a_non_edge_onto_an_edge():
@@ -519,6 +576,6 @@ def test_verify_rejects_malformed():
     for pick in (lambda c: c["phi"], lambda c: c["f_ref"]["core"]):
         bad = copy.deepcopy(certs[-1])
         pairs = pick(bad)
-        pairs.insert(next(i for i, (u, _) in enumerate(pairs) if u == 0), [0, 1000000])
+        pairs.insert(0, [pairs[0][0], 1000000])
         with pytest.raises(CertificateError, match="duplicate domain vertex"):
             verify(bad)
